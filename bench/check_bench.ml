@@ -7,7 +7,7 @@ module J = Dapper_util.Json
 
 let required_names =
   [ "dapper/fig5-criu-dump"; "dapper/fig5-rewrite-x86-to-arm";
-    "dapper/fig5-rewrite-warm-memo"; "dapper/fig5-pipeline-schedule";
+    "dapper/fig5-pipeline-schedule";
     "dapper/fig5-criu-restore"; "dapper/redis-recode-x86-to-arm";
     "dapper/event-heap-churn"; "dapper/fig8-xl-sched-overhead";
     "dapper/replay-record"; "dapper/replay-run" ]

@@ -37,7 +37,7 @@ let exec_ms arch instrs = Node.exec_ns (node_of arch) instrs /. 1e6
 let exec_ms_scaled arch instrs = exec_ms arch instrs *. exec_scale
 
 (* Run [frac] of the program on x86, migrate, return migration result. *)
-let migrate_at ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers ?memo c
+let migrate_at ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers c
     ~total_instrs ~frac =
   let p = Process.load c.Link.cp_x86 in
   let warm = max 10_000 (int_of_float (Int64.to_float total_instrs *. frac)) in
@@ -46,7 +46,7 @@ let migrate_at ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers ?me
    | _ -> failwith (c.Link.cp_app ^ ": finished before migration point"));
   match
     Migrate.migrate ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers
-      ?memo ~bytes_scale ~src_node:Node.xeon ~dst_node:Node.rpi
+      ~bytes_scale ~src_node:Node.xeon ~dst_node:Node.rpi
       ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
   with
   | Ok r -> (p, r)
@@ -97,17 +97,14 @@ let fig5 () =
     "avg recode: %.1f ms on x86-64 vs %.1f ms on aarch64 (paper: 253.69 vs 1004.91; ratio %.2fx vs paper 3.96x)\n\n"
     rx ra (ra /. rx)
 
-(* ----- Fig. 5 delta: pipelined / parallel / incremental recode -----
+(* ----- Fig. 5 delta: pipelined / parallel recode -----
 
-   Same migration point as Fig. 5 (frac 0.5), four fast paths against the
+   Same migration point as Fig. 5 (frac 0.5), two fast paths against the
    sequential baseline:
      - pipelined: recode streams into the transfer in 256 KiB chunks, so
        only the exposed tail of recode+scp is charged ("hidden" column);
      - +4 workers: pipelined with the recode cost model spread across
-       four source cores;
-     - warm memo: a second migration of the unchanged binary at the same
-       point against a memo populated by a cold first run — only changed
-       pages/threads are re-rewritten and shipped.
+       four source cores.
    Byte-equivalence of every fast path against the sequential pipeline is
    enforced separately by `verify fastpath` (lib/verify/oracle.ml). *)
 
@@ -124,51 +121,38 @@ let fig5_pipelined () =
           migrate_at ~pipeline:true ~recode_workers:4 c ~total_instrs:total
             ~frac:0.5
         in
-        let memo = Plan_cache.create_memo () in
-        let _, _cold = migrate_at ~memo c ~total_instrs:total ~frac:0.5 in
-        let _, warm = migrate_at ~memo c ~total_instrs:total ~frac:0.5 in
-        (name, seq, pipe, par, warm))
+        (name, seq, pipe, par))
       fig5_benchmarks
   in
   let rows =
     List.map
-      (fun (name, seq, pipe, par, warm) ->
+      (fun (name, seq, pipe, par) ->
         let st = seq.Migrate.r_times and pt = pipe.Migrate.r_times in
         let hidden =
           (st.t_recode_ms +. st.t_scp_ms) -. (pt.t_recode_ms +. pt.t_scp_ms)
         in
-        let wrw = warm.Migrate.r_rewrite in
         [ name; Tbl.ms (Migrate.total_ms st); Tbl.ms (Migrate.total_ms pt);
-          Tbl.ms hidden; Tbl.ms (Migrate.total_ms par.Migrate.r_times);
-          Tbl.ms (Migrate.total_ms warm.Migrate.r_times);
-          Printf.sprintf "%d/%d"
-            (Rewrite.(wrw.st_memo_thread_hits))
-            (Rewrite.(wrw.st_memo_page_hits)) ])
+          Tbl.ms hidden; Tbl.ms (Migrate.total_ms par.Migrate.r_times) ])
       measured
   in
   Tbl.print
     ~title:
-      "Fig 5 delta: sequential vs pipelined vs +4 workers vs warm memo \
-       (x86-64 -> aarch64, InfiniBand)"
-    ~header:
-      [ "benchmark"; "sequential"; "pipelined"; "hidden"; "+4 workers";
-        "warm memo"; "memo hits t/p" ]
+      "Fig 5 delta: sequential vs pipelined vs +4 workers (x86-64 -> aarch64, \
+       InfiniBand)"
+    ~header:[ "benchmark"; "sequential"; "pipelined"; "hidden"; "+4 workers" ]
     rows;
   let n = float_of_int (List.length measured) in
   let avg f = List.fold_left (fun a x -> a +. f x) 0.0 measured /. n in
-  let seq_avg = avg (fun (_, s, _, _, _) -> Migrate.total_ms s.Migrate.r_times) in
-  let pipe_avg = avg (fun (_, _, p, _, _) -> Migrate.total_ms p.Migrate.r_times) in
-  let par_avg = avg (fun (_, _, _, p, _) -> Migrate.total_ms p.Migrate.r_times) in
-  let warm_avg = avg (fun (_, _, _, _, w) -> Migrate.total_ms w.Migrate.r_times) in
+  let seq_avg = avg (fun (_, s, _, _) -> Migrate.total_ms s.Migrate.r_times) in
+  let pipe_avg = avg (fun (_, _, p, _) -> Migrate.total_ms p.Migrate.r_times) in
+  let par_avg = avg (fun (_, _, _, p) -> Migrate.total_ms p.Migrate.r_times) in
   Printf.printf
     "avg end-to-end: %.1f ms sequential -> %.1f ms pipelined (%.1f%%), %.1f ms \
-     with 4 recode workers (%.1f%%), %.1f ms warm-incremental (%.1f%%)\n\n"
+     with 4 recode workers (%.1f%%)\n\n"
     seq_avg pipe_avg
     ((seq_avg -. pipe_avg) /. seq_avg *. 100.0)
     par_avg
     ((seq_avg -. par_avg) /. seq_avg *. 100.0)
-    warm_avg
-    ((seq_avg -. warm_avg) /. seq_avg *. 100.0)
 
 (* ----- Fig. 6: PARSEC total execution time, native vs migrated ----- *)
 

@@ -91,17 +91,6 @@ let tests () =
           ignore (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)));
       Test.make ~name:"fig5-criu-restore" (Staged.stage (fun () ->
           ignore (Dapper_criu.Restore.restore image_arm c.Link.cp_arm)));
-      (* Incremental recode: every rewrite after the first hits the
-         output memo (unchanged fixture), so this measures the digest +
-         patch-replay fast path against fig5-rewrite-x86-to-arm above. *)
-      Test.make ~name:"fig5-rewrite-warm-memo"
-        (let memo = Plan_cache.create_memo () in
-         ignore
-           (Dapper_util.Dapper_error.ok_exn
-              (Rewrite.rewrite ~memo image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm));
-         Staged.stage (fun () ->
-             ignore
-               (Rewrite.rewrite ~memo image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)));
       (* The chunked-overlap scheduler itself (pure arithmetic over the
          chunk list): cost of planning a 1 MiB image in 64 KiB chunks. *)
       Test.make ~name:"fig5-pipeline-schedule" (Staged.stage (fun () ->

@@ -541,9 +541,9 @@ let cmd =
                              degradation-event trace to $(docv)."));
       Cmd.v
         (Cmd.info "fastpath"
-           ~doc:"Byte-equivalence of the recode fast paths (pipelined, memoized, \
-                 multi-worker) against the sequential pipeline, over the example \
-                 corpus in both directions")
+           ~doc:"Byte-equivalence of the recode fast paths (pipelined, \
+                 multi-worker, combined) against the sequential pipeline, over the \
+                 example corpus in both directions")
         Term.(const (fun points -> if run_fastpath points then 0 else 1)
               $ Arg.(value & opt int 3 & info [ "points" ] ~docv:"K"
                        ~doc:"Equivalence points exercised per program/direction."));

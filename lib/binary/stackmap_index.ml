@@ -69,44 +69,34 @@ let build maps =
 
 (* ----- per-maps memoization -----
    Keyed by physical identity of the (immutable) map list with a
-   content-digest fallback, so every consumer of the same binary shares
+   serialized-content fallback, so every consumer of the same binary shares
    one index and an index is built at most once per distinct stack-map
    content. Physical identity alone is not a sound cache key across
    regenerated binaries: tests (and reshuffling) rebuild structurally
    different map lists at addresses the allocator may reuse, and two
    different lists that are byte-for-byte equal (a recompiled app)
-   should share one index rather than build two. Hashing the serialized
-   maps makes the key follow the content, so a regenerated or mutated
+   should share one index rather than build two. Comparing the serialized
+   maps exactly makes the key follow the content, so a regenerated or mutated
    binary can never hit a stale index. Bounded MRU list: reshuffling
    creates a new map list per epoch, and stale entries must not pin
    binaries forever. *)
 
 type cache_entry = {
   ce_maps : Stackmap.func_map list;  (* fast path: physical identity *)
-  ce_key : Digest.t;                 (* slow path: content digest *)
+  ce_key : string;                   (* slow path: serialized content *)
   ce_ix : t;
 }
 
 let cache : cache_entry list ref = ref []
 let cache_capacity = 32
 
-let content_key maps = Digest.string (Stackmap.serialize maps)
-
-(* A binary's stack-map content digest, for content-keyed memo keys
-   (the rewrite-output cache). Reuses the index cache's digest when the
-   maps were indexed before, so the common path is a pointer walk. *)
-let content_digest maps =
-  match List.find_opt (fun e -> e.ce_maps == maps) !cache with
-  | Some e -> e.ce_key
-  | None -> content_key maps
-
 let get maps =
   match List.find_opt (fun e -> e.ce_maps == maps) !cache with
   | Some e -> e.ce_ix
   | None ->
-    let key = content_key maps in
+    let key = Stackmap.serialize maps in
     let ix =
-      match List.find_opt (fun e -> Digest.equal e.ce_key key) !cache with
+      match List.find_opt (fun e -> String.equal e.ce_key key) !cache with
       | Some e -> e.ce_ix
       | None -> build maps
     in

@@ -26,17 +26,11 @@ type t
 val build : Stackmap.func_map list -> t
 
 (** Memoized [build]: returns the cached index when [maps] was indexed
-    before. Keyed by physical identity with a content-digest (hash of
-    the serialized maps) fallback in a bounded MRU cache, so regenerated
+    before. Keyed by physical identity with an exact comparison of the
+    serialized maps as fallback in a bounded MRU cache, so regenerated
     binaries with identical stack maps share one index while changed
     content can never alias a stale one. *)
 val get : Stackmap.func_map list -> t
-
-(** Digest of the serialized stack maps — the content half of {!get}'s
-    cache key, exposed so output-level memoization (the rewrite-result
-    cache) can key entries by binary content. Cheap when the maps were
-    indexed before (shares the index cache's stored digest). *)
-val content_digest : Stackmap.func_map list -> Digest.t
 
 (** Indexed equivalents of the {!Stackmap} linear lookups. *)
 

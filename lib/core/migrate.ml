@@ -92,22 +92,12 @@ let cost_report ?(stage_histograms = false) ?(reset = false) (r : result) =
       (if rw.Rewrite.st_plan_misses = 1 then "" else "es")
       rw.Rewrite.st_index_lookups rw.Rewrite.st_interval_lookups
   in
-  (* Memo surfaces only when it did something, keeping the legacy line
-     byte-identical for non-memoized runs. *)
-  let line =
-    if rw.Rewrite.st_memo_thread_hits > 0 || rw.Rewrite.st_memo_page_hits > 0 then
-      line
-      ^ Printf.sprintf ", memo %d thread / %d page hits (%d bytes skipped)"
-          rw.Rewrite.st_memo_thread_hits rw.Rewrite.st_memo_page_hits
-          rw.Rewrite.st_skipped_bytes
-    else line
-  in
   if reset then reset_run_counters ();
   if stage_histograms then line ^ "\n" ^ stage_histogram_table () else line
 
 let migrate ?(lazy_pages = false) ?(link = Link.infiniband) ?recode_on
     ?(bytes_scale = 1.0) ?(budget = 50_000_000) ?(pipeline = false)
-    ?(chunk_bytes = 262_144) ?(recode_workers = 1) ?memo ~(src_node : Node.t)
+    ?(chunk_bytes = 262_144) ?(recode_workers = 1) ~(src_node : Node.t)
     ~(dst_node : Node.t) ~(dst_bin : Binary.t) ~(src_bin : Binary.t)
     (p : Process.t) =
   let transport =
@@ -127,7 +117,6 @@ let migrate ?(lazy_pages = false) ?(link = Link.infiniband) ?recode_on
       cfg_pipeline = pipeline;
       cfg_chunk_bytes = chunk_bytes;
       cfg_recode_workers = recode_workers;
-      cfg_recode_memo = memo;
       cfg_resident_pages = [] }
   in
   Result.map Session.finish (Session.run cfg p)

@@ -78,8 +78,7 @@ val reset_run_counters : unit -> unit
 
 (** One-line migration cost report: phase times plus the index and
     rewrite-plan-cache counters ({!Rewrite.stats} observability
-    fields); when the run used a recode memo that hit, an extra memo
-    clause (legacy format is untouched otherwise). With
+    fields). With
     [stage_histograms], appends {!stage_histogram_table}; with [reset],
     calls {!reset_run_counters} after rendering. *)
 val cost_report : ?stage_histograms:bool -> ?reset:bool -> result -> string
@@ -93,8 +92,7 @@ val stage_histogram_table : unit -> string
 (** [src_node]/[dst_node] parameterize the checkpoint and restore costs
     (and [recode_on] defaults to [src_node]). [pipeline]/[chunk_bytes]
     stream recoded chunks into the transfer ({!Session.config});
-    [recode_workers] spreads recode over the recode node's cores;
-    [memo] enables incremental recode across repeat migrations. All
+    [recode_workers] spreads recode over the recode node's cores. All
     default to the sequential single-worker model. *)
 val migrate :
   ?lazy_pages:bool ->
@@ -105,7 +103,6 @@ val migrate :
   ?pipeline:bool ->
   ?chunk_bytes:int ->
   ?recode_workers:int ->
-  ?memo:Plan_cache.memo ->
   src_node:Node.t ->
   dst_node:Node.t ->
   dst_bin:Binary.t ->

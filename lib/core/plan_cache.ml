@@ -126,72 +126,3 @@ let lookup ~app ~src_arch ~dst_arch ~fn ~ep_id ~(src_ep : Stackmap.eqpoint)
     let plan = derive shape in
     Hashtbl.replace cache key plan;
     plan
-
-(* ----- output-level memoization -----
-
-   Plan-level caching above memoizes frame-placement {e decisions};
-   this layer memoizes rewrite {e outputs}, keyed by content hashes, so
-   a repeat migration (or reshuffle epoch) of an unchanged binary
-   rewrites only what changed since the memo was filled:
-
-   - per pass-through page (data/heap/TLS — everything the rewriter
-     copies verbatim): the page's content digest. A hit means the page's
-     encoded output is byte-identical to last time and need not be
-     re-encoded;
-   - per thread: a digest over everything the thread's rewritten stack
-     depends on (its unwound frames and live-value bytes, argument
-     registers, TLS, the set of stack pages present in the dump, and the
-     global pointer-translation interval set — the only cross-thread
-     coupling), mapped to the finished output: the destination
-     [thread_core] plus the thread's rewritten stack pages.
-
-   The environment digest guards the whole memo: any change to the
-   binary pair (stack maps of either side, destination text, anchors,
-   architectures) empties it, so a stale output can never be replayed
-   against a different binary. The memo is opt-in and per-caller — the
-   default pipeline never consults one. *)
-
-type thread_patch = {
-  tp_core : Dapper_criu.Images.thread_core;
-  tp_pages : (int * string) list;
-}
-
-type memo = {
-  mutable m_env : Digest.t option;
-  m_pages : (int, Digest.t) Hashtbl.t;
-  m_threads : (int, Digest.t * thread_patch) Hashtbl.t;
-}
-
-let create_memo () =
-  { m_env = None; m_pages = Hashtbl.create 64; m_threads = Hashtbl.create 8 }
-
-let memo_clear m =
-  Hashtbl.reset m.m_pages;
-  Hashtbl.reset m.m_threads
-
-(* Rebind the memo to [env], emptying it when the environment moved.
-   Returns true when existing entries remain valid. *)
-let memo_bind m ~env =
-  match m.m_env with
-  | Some e when Digest.equal e env -> true
-  | _ ->
-    memo_clear m;
-    m.m_env <- Some env;
-    false
-
-let memo_page_hit m pn digest =
-  match Hashtbl.find_opt m.m_pages pn with
-  | Some d -> Digest.equal d digest
-  | None -> false
-
-let memo_page_store m pn digest = Hashtbl.replace m.m_pages pn digest
-
-let memo_thread_hit m tid digest =
-  match Hashtbl.find_opt m.m_threads tid with
-  | Some (d, patch) when Digest.equal d digest -> Some patch
-  | _ -> None
-
-let memo_thread_store m tid digest patch =
-  Hashtbl.replace m.m_threads tid (digest, patch)
-
-let memo_size m = (Hashtbl.length m.m_pages, Hashtbl.length m.m_threads)

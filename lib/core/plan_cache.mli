@@ -72,43 +72,3 @@ val detach : counters -> unit
 (** [counting f] runs [f] with a fresh attached sink (detached even if
     [f] raises) and returns [f]'s result with the counts it scoped. *)
 val counting : (unit -> 'a) -> 'a * counters
-
-(** {1 Output-level memoization}
-
-    Beyond plan-level decisions, a {!memo} caches rewrite {e outputs}
-    keyed by content hashes — per pass-through page (content digest:
-    hit means the page need not be re-encoded) and per thread (digest
-    of its unwound frames, live-value bytes, argument registers, TLS,
-    present stack pages and the global pointer-translation interval
-    set, mapped to the finished destination core + rewritten stack
-    pages). An environment digest over the binary pair guards the
-    whole memo: entries from a different binary pair can never be
-    replayed. Opt-in: pass a memo to [Rewrite.rewrite] (via
-    [Session.config.cfg_recode_memo]); the default pipeline never
-    consults one. *)
-
-(** A memoized thread rewrite: the destination thread core and the
-    thread's rewritten stack pages (page number, full page bytes). *)
-type thread_patch = {
-  tp_core : Dapper_criu.Images.thread_core;
-  tp_pages : (int * string) list;
-}
-
-type memo
-
-val create_memo : unit -> memo
-
-(** Empty the memo (entries and environment binding). *)
-val memo_clear : memo -> unit
-
-(** Bind the memo to an environment digest, emptying it first when the
-    environment changed; [true] when existing entries remain valid. *)
-val memo_bind : memo -> env:Digest.t -> bool
-
-val memo_page_hit : memo -> int -> Digest.t -> bool
-val memo_page_store : memo -> int -> Digest.t -> unit
-val memo_thread_hit : memo -> int -> Digest.t -> thread_patch option
-val memo_thread_store : memo -> int -> Digest.t -> thread_patch -> unit
-
-(** [(pages, threads)] currently memoized. *)
-val memo_size : memo -> int * int

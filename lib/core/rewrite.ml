@@ -20,9 +20,6 @@ let m_plan_hits = Metrics.counter "rewrite.plan_hits"
 let m_plan_misses = Metrics.counter "rewrite.plan_misses"
 let m_index_lookups = Metrics.counter "rewrite.index_lookups"
 let m_interval_lookups = Metrics.counter "rewrite.interval_lookups"
-let m_memo_page_hits = Metrics.counter "rewrite.memo_page_hits"
-let m_memo_thread_hits = Metrics.counter "rewrite.memo_thread_hits"
-let m_skipped_bytes = Metrics.counter "rewrite.skipped_bytes"
 
 type stats = {
   st_threads : int;
@@ -35,9 +32,6 @@ type stats = {
   st_plan_misses : int;
   st_index_lookups : int;
   st_interval_lookups : int;
-  st_memo_page_hits : int;
-  st_memo_thread_hits : int;
-  st_skipped_bytes : int;
 }
 
 let work_items s =
@@ -174,7 +168,7 @@ let place_frames ix_dst tid (ts : Unwind.thread_stack) =
 
 (* ----- the rewrite ----- *)
 
-let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binary.t) =
+let rewrite_exn (image : Images.image_set) ~(src : Binary.t) ~(dst : Binary.t) =
   (* per-run plan counters ride an attached sink, immune to concurrent
      resets of the process-global tallies mid-rewrite *)
   let pc = Plan_cache.fresh_counters () in
@@ -267,63 +261,19 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
     Hashtbl.fold (fun pn _ acc -> if is_code_page pn then pn :: acc else acc) st.pages []
   in
   List.iter (Hashtbl.remove st.pages) dropped;
-  (* Output-level memoization context: the environment digest pins the
-     memo to this exact binary pair (stack-map contents, destination
-     text, anchors, architectures); the interval-set digest captures the
-     only cross-thread coupling a thread's rewritten output depends on. *)
-  let memo_ctx =
-    match memo with
-    | None -> None
-    | Some m ->
-      let env =
-        Digest.string
-          (Marshal.to_string
-             ( src.bin_app, Arch.name src.bin_arch, Arch.name dst_arch,
-               Stackmap_index.content_digest src_maps,
-               Stackmap_index.content_digest dst_maps,
-               src.bin_anchors, dst.bin_anchors,
-               match Binary.find_section dst ".text" with
-               | Some s -> Digest.string s.sec_data
-               | None -> "" )
-             [])
-      in
-      ignore (Plan_cache.memo_bind m ~env);
-      Some (m, Digest.string (Marshal.to_string intervals []))
-  in
-  (* A thread's rewritten output is a function of its own unwound stack
-     (frames, live-value bytes), its argument registers and TLS, which
-     of its stack pages the dump contains, and the interval set — the
-     memo key digests exactly those. *)
-  let thread_digest (ts : Unwind.thread_stack) pages ivd =
-    Digest.string
-      (Marshal.to_string
-         ( ts.Unwind.ts_tid,
-           List.map
-             (fun (fr : Unwind.frame) ->
-               ( fr.Unwind.fr_func.Stackmap.fm_name, fr.Unwind.fr_ep.Stackmap.ep_id,
-                 fr.Unwind.fr_at_call, fr.Unwind.fr_fp, fr.Unwind.fr_values ))
-             ts.Unwind.ts_frames,
-           ts.Unwind.ts_arg_regs, ts.Unwind.ts_tls, pages, ivd )
-         [])
-  in
-  (* Stack page numbers of one thread present in the dump. *)
-  let thread_pages (ts : Unwind.thread_stack) =
+  (* Zero the stack pages of one thread present in the dump. *)
+  let stack_bytes = ref 0 in
+  let zero_thread (ts : Unwind.thread_stack) =
     let tid = ts.Unwind.ts_tid in
     let first = Layout.page_of_addr (Layout.stack_limit_of_thread tid) in
     let last = Layout.page_of_addr (Int64.sub (Layout.stack_base_of_thread tid) 1L) in
-    let acc = ref [] in
     for pn = first to last do
-      if Hashtbl.mem st.pages pn then acc := pn :: !acc
-    done;
-    List.rev !acc
-  in
-  let stack_bytes = ref 0 in
-  let zero_thread pages =
-    List.iter
-      (fun pn ->
-        Bytes.fill (Hashtbl.find st.pages pn) 0 Layout.page_size '\000';
-        stack_bytes := !stack_bytes + Layout.page_size)
-      pages
+      match Hashtbl.find_opt st.pages pn with
+      | Some page ->
+        Bytes.fill page 0 Layout.page_size '\000';
+        stack_bytes := !stack_bytes + Layout.page_size
+      | None -> ()
+    done
   in
   let frames_count = ref 0 in
   let values_count = ref 0 in
@@ -421,43 +371,17 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
     in
     { Images.tc_tid = tid; tc_arch = dst_arch; tc_regs = ctx; tc_pc = pc; tc_tls = tls }
   in
-  let memo_page_hits = ref 0 in
-  let memo_thread_hits = ref 0 in
-  let skipped_bytes = ref 0 in
   (* Per-thread zero + rewrite. A thread's writes are confined to its own
      stack pages and its reads come from the unwound [fr_values] (captured
      before any zeroing), so interleaving zero/rewrite per thread is
-     equivalent to the zero-all-then-rewrite-all order — which lets a
-     memo hit skip both for an unchanged thread. *)
-  let run_thread (ts : Unwind.thread_stack) dframes =
-    let pages = thread_pages ts in
-    match memo_ctx with
-    | None ->
-      zero_thread pages;
-      rewrite_thread ts dframes
-    | Some (m, ivd) ->
-      let digest = thread_digest ts pages ivd in
-      (match Plan_cache.memo_thread_hit m ts.Unwind.ts_tid digest with
-       | Some patch ->
-         incr memo_thread_hits;
-         List.iter
-           (fun (pn, data) ->
-             Hashtbl.replace st.pages pn (Bytes.of_string data);
-             skipped_bytes := !skipped_bytes + String.length data)
-           patch.Plan_cache.tp_pages;
-         patch.Plan_cache.tp_core
-       | None ->
-         zero_thread pages;
-         let tc = rewrite_thread ts dframes in
-         let patch =
-           { Plan_cache.tp_core = tc;
-             tp_pages =
-               List.map (fun pn -> (pn, Bytes.to_string (Hashtbl.find st.pages pn))) pages }
-         in
-         Plan_cache.memo_thread_store m ts.Unwind.ts_tid digest patch;
-         tc)
+     equivalent to the zero-all-then-rewrite-all order. *)
+  let new_cores =
+    List.map
+      (fun (ts, dframes) ->
+        zero_thread ts;
+        rewrite_thread ts dframes)
+      placed
   in
-  let new_cores = List.map (fun (ts, dframes) -> run_thread ts dframes) placed in
   (* Destination execution-context code pages. *)
   let code_pages = ref 0 in
   List.iter
@@ -482,32 +406,6 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
      the page from the page server first. *)
   if Hashtbl.mem st.pages (Layout.page_of_addr dst.bin_anchors.a_flag) then
     store_write_u64 st dst.bin_anchors.a_flag 0L;
-  (* Pass-through page memoization: data/heap/TLS pages the rewriter
-     copies verbatim. A content-digest hit means the page's encoded
-     output is byte-identical to the previous run and need not be
-     re-encoded — the skipped bytes feed the incremental recode cost.
-     Stack pages are covered by the thread memo; code pages are rebuilt
-     from the destination text; the flag page's output differs from its
-     input (the flag is lowered), so all three are excluded. *)
-  (match memo_ctx with
-   | None -> ()
-   | Some (m, _) ->
-     let flag_pn = Layout.page_of_addr dst.bin_anchors.a_flag in
-     Hashtbl.iter
-       (fun pn page ->
-         if
-           (not (is_code_page pn))
-           && (not (in_stack_region (Layout.addr_of_page pn)))
-           && pn <> flag_pn
-         then begin
-           let d = Digest.bytes page in
-           if Plan_cache.memo_page_hit m pn d then begin
-             incr memo_page_hits;
-             skipped_bytes := !skipped_bytes + Layout.page_size
-           end
-           else Plan_cache.memo_page_store m pn d
-         end)
-       st.pages);
   let entries, blob = store_to_image st in
   (* VMA list: recompute the code VMAs, keep the rest. *)
   let vmas =
@@ -540,10 +438,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
       st_plan_hits = pc.Plan_cache.c_hits;
       st_plan_misses = pc.Plan_cache.c_misses;
       st_index_lookups = Stackmap_index.lookup_count () - index_lookups0;
-      st_interval_lookups = !interval_lookups;
-      st_memo_page_hits = !memo_page_hits;
-      st_memo_thread_hits = !memo_thread_hits;
-      st_skipped_bytes = !skipped_bytes }
+      st_interval_lookups = !interval_lookups }
   in
   Metrics.inc m_runs;
   Metrics.inc m_threads ~by:stats.st_threads;
@@ -556,10 +451,6 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
   Metrics.inc m_plan_misses ~by:stats.st_plan_misses;
   Metrics.inc m_index_lookups ~by:stats.st_index_lookups;
   Metrics.inc m_interval_lookups ~by:stats.st_interval_lookups;
-  Metrics.inc m_memo_page_hits ~by:stats.st_memo_page_hits;
-  Metrics.inc m_memo_thread_hits ~by:stats.st_memo_thread_hits;
-  Metrics.inc m_skipped_bytes ~by:stats.st_skipped_bytes;
   (image', stats)
 
-let rewrite ?memo image ~src ~dst =
-  Dapper_error.protect (fun () -> rewrite_exn ?memo image ~src ~dst)
+let rewrite image ~src ~dst = Dapper_error.protect (fun () -> rewrite_exn image ~src ~dst)

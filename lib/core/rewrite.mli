@@ -35,31 +35,18 @@ type stats = {
   st_plan_misses : int;     (** rewrite-plan cache misses (plans derived) *)
   st_index_lookups : int;   (** stack-map index lookups during this rewrite *)
   st_interval_lookups : int;(** pointer-translation interval-map probes *)
-  st_memo_page_hits : int;  (** pass-through pages skipped via output memo *)
-  st_memo_thread_hits : int;(** threads replayed from the output memo *)
-  st_skipped_bytes : int;   (** bytes not re-encoded thanks to memo hits *)
 }
 
 (** Total abstract work units, the input to the recode cost model. The
     observability counters ([st_plan_*], [st_index_lookups],
-    [st_interval_lookups], [st_memo_*], [st_skipped_bytes]) deliberately
+    [st_interval_lookups]) deliberately
     do not contribute: caching changes the cost of a migration, never
     its result or its modeled work. *)
 val work_items : stats -> int
 
 (** Fails with [Dapper_error.Recode_failed] on an arch/app mismatch or a
     malformed image, [Dapper_error.Unwind_failed] if the source stack
-    walk fails.
-
-    With [?memo] the rewrite consults (and fills) an output-level
-    memoization: threads whose content digest matches a memoized entry
-    replay their stored destination core and stack pages instead of
-    being re-unwound and re-encoded, and pass-through pages whose
-    content digest is already memoized are counted as skipped. The
-    produced image is byte-identical with and without a memo (verified
-    by the conformance oracle); only the cost accounting
-    ([st_skipped_bytes], fed to the recode cost model) changes. *)
+    walk fails. *)
 val rewrite :
-  ?memo:Plan_cache.memo ->
   Images.image_set -> src:Binary.t -> dst:Binary.t ->
   (Images.image_set * stats, Dapper_error.t) result

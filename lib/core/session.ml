@@ -20,7 +20,6 @@ type config = {
   cfg_pipeline : bool;
   cfg_chunk_bytes : int;
   cfg_recode_workers : int;
-  cfg_recode_memo : Plan_cache.memo option;
   cfg_resident_pages : int list;
 }
 
@@ -38,7 +37,6 @@ let default_config ~src_bin ~dst_bin =
     cfg_pipeline = false;
     cfg_chunk_bytes = 262_144;
     cfg_recode_workers = 1;
-    cfg_recode_memo = None;
     cfg_resident_pages = [] }
 
 (* Cost-model constants (see EXPERIMENTS.md, "Calibration"). *)
@@ -185,8 +183,6 @@ let rollback s =
     Metrics.inc m_rollbacks;
     Trace.leaf ~cat:"session" "rollback" ~dur_ns:0.0;
     Monitor.resume s.s_source
-
-let abort = rollback
 
 let scaled cfg b = int_of_float (float_of_int b *. cfg.cfg_bytes_scale)
 
@@ -376,31 +372,20 @@ let recode_run (s : dumped t) =
   guard s (fun () ->
       let { sd_pause; sd_image; sd_dump = _ } = s.s_state in
       let cfg = s.s_cfg in
-      match
-        Rewrite.rewrite ?memo:cfg.cfg_recode_memo sd_image ~src:cfg.cfg_src_bin
-          ~dst:cfg.cfg_dst_bin
-      with
+      match Rewrite.rewrite sd_image ~src:cfg.cfg_src_bin ~dst:cfg.cfg_dst_bin with
       | Error _ as e -> e
       | Ok (image', rw) ->
         let image_bytes = Images.total_bytes image' in
-        (* Memo hits shrink the charged byte volume (and, for replayed
-           threads, the work items inside [rw]); the produced image is
-           byte-identical either way. *)
-        let charged_bytes =
-          scaled cfg (max 0 (image_bytes - rw.Rewrite.st_skipped_bytes))
-        in
+        let charged_bytes = scaled cfg image_bytes in
         let workers = max 1 (min cfg.cfg_recode_workers cfg.cfg_recode_node.Node.n_cores) in
         let ms =
           recode_ns cfg.cfg_recode_node ~workers ~bytes:charged_bytes rw /. 1e6
         in
-        if Trace.enabled () && (workers > 1 || rw.Rewrite.st_skipped_bytes > 0) then
+        if Trace.enabled () && workers > 1 then
           Trace.leaf ~cat:"session" "recode-plan" ~dur_ns:0.0
             ~args:
               [ ("workers", string_of_int workers);
-                ("charged_bytes", string_of_int charged_bytes);
-                ("skipped_bytes", string_of_int rw.Rewrite.st_skipped_bytes);
-                ("memo_thread_hits", string_of_int rw.Rewrite.st_memo_thread_hits);
-                ("memo_page_hits", string_of_int rw.Rewrite.st_memo_page_hits) ];
+                ("charged_bytes", string_of_int charged_bytes) ];
         Ok
           (step s Dapper_error.Recode ~bytes:charged_bytes ~ms
              { sc_pause = sd_pause; sc_image = image';

@@ -77,11 +77,6 @@ type config = {
       cfg_recode_node.n_cores]. 1 (default) is the exact sequential
       cost model; more workers divide the recode critical path at
       page granularity. *)
-  cfg_recode_memo : Plan_cache.memo option;
-  (** output-level memoization consulted (and filled) by the recode
-      stage: repeat migrations of an unchanged binary re-encode only
-      changed threads/pages, shrinking the charged recode bytes and
-      work items. [None] (default): every run recodes everything. *)
   cfg_resident_pages : int list;
   (** pages already materialized at the destination by {!precopy}
       rounds (pass [pcs_resident]). Transfer and eager restore charge
@@ -110,7 +105,7 @@ val lazy_restore_ms : node:Node.t -> float
 (** [recode_ns node ~bytes stats] models the state rewrite: per-work-item
     and per-byte costs scaled by the node architecture's measured recode
     slowdown (paper Fig. 5). [bytes] is the byte volume actually
-    re-encoded (the image size, minus any memo-skipped bytes) — explicit
+    re-encoded (the scaled image size) — explicit
     so callers cannot silently drop the dominant term. With [?workers]
     > 1 (clamped to the node's cores) the cost is the work-queue
     critical path: ceil shares of the work items and of the
@@ -278,9 +273,6 @@ val commit : restored t -> (committed t, Dapper_error.t) result
     the steps and {!run} call it on failure so callers only need it when
     driving stages by hand and abandoning a session mid-way. *)
 val rollback : _ t -> unit
-
-(** [abort] is {!rollback} under its pre-2PC name. *)
-val abort : _ t -> unit
 
 (** Completed stage records, in execution order. *)
 val stage_log : _ t -> stage_record list

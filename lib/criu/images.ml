@@ -251,7 +251,9 @@ let page_checksum is pn =
   match page_offset_in_dump is pn with
   | None -> None
   | Some off ->
-    Some (Dapper_util.Bytebuf.fnv64 (String.sub is.is_pages off Layout.page_size))
+    Some
+      (Dapper_util.Bytebuf.fnv64_sub Dapper_util.Bytebuf.fnv64_offset is.is_pages off
+         Layout.page_size)
 
 let file_checksums is =
   List.map (fun (name, data) -> (name, Dapper_util.Bytebuf.fnv64 data)) (to_files is)
@@ -260,7 +262,7 @@ let checksum is =
   List.fold_left
     (fun h (name, data) ->
       Dapper_util.Bytebuf.fnv64_fold (Dapper_util.Bytebuf.fnv64_fold h name) data)
-    0xcbf29ce484222325L (to_files is)
+    Dapper_util.Bytebuf.fnv64_offset (to_files is)
 
 let read_page is pn =
   match page_offset_in_dump is pn with

@@ -132,10 +132,6 @@ let m_committed = Metrics.counter "health.sustained.committed"
 let m_degraded = Metrics.counter "health.sustained.degraded"
 let m_rolled_back = Metrics.counter "health.sustained.rolled_back"
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-let fnv_mix h v = Int64.mul (Int64.logxor h v) fnv_prime
-
 let needs_lazy = function
   | Budget.Vanilla | Budget.Precopy -> false
   | Budget.Hybrid | Budget.Postcopy -> true
@@ -501,7 +497,7 @@ let run c (scfg : Session.config) ~fresh ~seed =
   in
   let all = Sketch.create () in
   let during = Sketch.create () in
-  let fp = ref fnv_offset in
+  let fp = ref Bytebuf.fnv64_offset in
   let ok_n = ref 0 in
   let track_overhead = 1.03 in
   let class_mult u = if u < 0.6 then 0.8 else if u < 0.9 then 1.2 else 1.6 in
@@ -571,10 +567,10 @@ let run c (scfg : Session.config) ~fresh ~seed =
     if lat <= c.su_slo_ms then incr ok_n;
     if (arrive >= mig_start && arrive < mig_end) || fault_ms > 0.0 then
       Sketch.add during lat;
-    fp := fnv_mix !fp (Int64.bits_of_float lat)
+    fp := Bytebuf.fnv64_mix !fp (Int64.bits_of_float lat)
   done;
-  fp := fnv_mix !fp (Int64.of_int !attempts);
-  fp := fnv_mix !fp (Int64.of_int (rung_rank !deepest));
+  fp := Bytebuf.fnv64_mix !fp (Int64.of_int !attempts);
+  fp := Bytebuf.fnv64_mix !fp (Int64.of_int (rung_rank !deepest));
   { r_seed = seed;
     r_scenario = sc;
     r_verdict = verdict;

@@ -127,17 +127,23 @@ let write_u64 t addr v =
     done
 
 let read_bytes t addr len =
+  if len < 0 then invalid_arg "Memory.read_bytes: negative length";
+  let each_chunk f =
+    let pos = ref 0 in
+    while !pos < len do
+      let a = Int64.add addr (Int64.of_int !pos) in
+      let off = Layout.page_offset a in
+      let chunk = min (len - !pos) (Layout.page_size - off) in
+      f (page t a) off !pos chunk;
+      pos := !pos + chunk
+    done
+  in
+  (* Resolve every page before allocating: a range that is not mapped
+     raises [Segfault] without first allocating [len] bytes. *)
+  each_chunk (fun _ _ _ _ -> ());
   let b = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = Int64.add addr (Int64.of_int !pos) in
-    let off = Layout.page_offset a in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
-    let p = page t a in
-    Bytes.blit p off b !pos chunk;
-    pos := !pos + chunk
-  done;
-  Bytes.to_string b
+  each_chunk (fun p off pos chunk -> Bytes.blit p off b pos chunk);
+  Bytes.unsafe_to_string b
 
 let write_bytes t addr s =
   let len = String.length s in

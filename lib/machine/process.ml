@@ -1,5 +1,6 @@
 open Dapper_isa
 open Dapper_binary
+module Bytebuf = Dapper_util.Bytebuf
 
 type thread_status =
   | Runnable
@@ -204,51 +205,43 @@ type snapshot = {
   sn_exit : int64 option;
 }
 
-(* FNV-1a (64-bit), folded over (page number, page bytes) pairs so the
-   digest is sensitive to which pages are mapped, not just their
-   concatenated contents. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
+(* One page's digest: FNV-1a continued from [h] over the page number's
+   8 little-endian bytes, then the page bytes, so the digest is
+   sensitive to which pages are mapped, not just their concatenated
+   contents. The transformation flag is runtime-monitor state, not
+   program state: it is raised on the source during a pause and dropped
+   again by restore, so its 8 bytes digest as zeros. *)
+let zero_word = String.make 8 '\000'
 
-let fnv_int h n =
-  let rec go h i = if i = 8 then h else go (fnv_byte h ((n lsr (i * 8)) land 0xff)) (i + 1) in
-  go h 0
+let page_digest t h pn page =
+  let h = Bytebuf.fnv64_int h pn in
+  let n = Bytes.length page in
+  let flag = t.binary.Binary.bin_anchors.Binary.a_flag in
+  if pn <> Layout.page_of_addr flag then Bytebuf.fnv64_bytes h page 0 n
+  else
+    let lo = min (Layout.page_offset flag) n in
+    let hi = min (lo + 8) n in
+    let h = Bytebuf.fnv64_bytes h page 0 lo in
+    let h = Bytebuf.fnv64_sub h zero_word 0 (hi - lo) in
+    Bytebuf.fnv64_bytes h page hi (n - hi)
 
 let observe t =
-  let flag = t.binary.Binary.bin_anchors.Binary.a_flag in
-  let flag_page = Layout.page_of_addr flag in
-  let flag_off = Layout.page_offset flag in
-  (* The transformation flag is runtime-monitor state, not program state:
-     it is raised on the source during a pause and dropped again by
-     restore, so its 8 bytes are masked out of the data digest. *)
-  let digest_page ~mask_flag h pn page =
-    let h = fnv_int h pn in
-    let n = Bytes.length page in
-    let h = ref h in
-    for idx = 0 to n - 1 do
-      let b =
-        if mask_flag && idx >= flag_off && idx < flag_off + 8 then 0
-        else Char.code (Bytes.unsafe_get page idx)
-      in
-      h := fnv_byte !h b
-    done;
-    !h
-  in
-  let data = ref fnv_offset and heap = ref fnv_offset and tls = ref fnv_offset in
+  let data = ref Bytebuf.fnv64_offset
+  and heap = ref Bytebuf.fnv64_offset
+  and tls = ref Bytebuf.fnv64_offset in
   Array.iter
     (fun pn ->
-      let into acc ~mask_flag =
+      let into acc =
         (* page_contents never consults the fault handler: observing a
            process must not fault pages in or perturb fault accounting *)
         match Memory.page_contents t.mem pn with
-        | Some page -> acc := digest_page ~mask_flag !acc pn page
+        | Some page -> acc := page_digest t !acc pn page
         | None -> ()
       in
       match vma_kind_of_page t pn with
-      | Some Vma_data -> into data ~mask_flag:(pn = flag_page)
-      | Some Vma_heap -> into heap ~mask_flag:false
-      | Some Vma_tls -> into tls ~mask_flag:false
+      | Some Vma_data -> into data
+      | Some Vma_heap -> into heap
+      | Some Vma_tls -> into tls
       | Some Vma_code | Some (Vma_stack _) | None -> ())
     (Memory.page_numbers t.mem);
   { sn_data = !data;
@@ -264,27 +257,12 @@ let observe t =
    companion to [observe]: when two snapshots differ, diffing the two
    page lists names the diverging pages. *)
 let observe_pages t =
-  let flag = t.binary.Binary.bin_anchors.Binary.a_flag in
-  let flag_page = Layout.page_of_addr flag in
-  let flag_off = Layout.page_offset flag in
-  let digest ~mask_flag pn page =
-    let h = ref (fnv_int fnv_offset pn) in
-    for idx = 0 to Bytes.length page - 1 do
-      let b =
-        if mask_flag && idx >= flag_off && idx < flag_off + 8 then 0
-        else Char.code (Bytes.unsafe_get page idx)
-      in
-      h := fnv_byte !h b
-    done;
-    !h
-  in
   Array.fold_left
     (fun acc pn ->
       match vma_kind_of_page t pn with
       | Some ((Vma_data | Vma_heap | Vma_tls) as kind) ->
         (match Memory.page_contents t.mem pn with
-         | Some page ->
-           (kind, pn, digest ~mask_flag:(pn = flag_page) pn page) :: acc
+         | Some page -> (kind, pn, page_digest t Bytebuf.fnv64_offset pn page) :: acc
          | None -> acc)
       | Some Vma_code | Some (Vma_stack _) | None -> acc)
     []
@@ -406,6 +384,7 @@ let exec_syscall t (th : thread) num =
     true
   | Some `Write ->
     let addr = arg 1 and len = Int64.to_int (arg 2) in
+    if len < 0 then raise (Exec_error (Printf.sprintf "write: negative length %d" len));
     Buffer.add_string t.stdout_buf (Memory.read_bytes t.mem addr len);
     ret "write" (Int64.of_int len);
     true

@@ -387,7 +387,8 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
       (match fetch pn with
        | None -> Ok None
        | Some data ->
-         let checksum = Bytebuf.fnv64 (Bytes.to_string data) in
+         let digest b = Bytebuf.fnv64_bytes Bytebuf.fnv64_offset b 0 (Bytes.length b) in
+         let checksum = digest data in
          let charge () = stats.srv_ns <- stats.srv_ns +. page_fetch_ns t page_bytes in
          let retry what =
            charge ();  (* the failed round trip still cost a round trip *)
@@ -411,7 +412,7 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
           | Some (Fault.Corrupt salt) ->
             let damaged = Bytes.copy data in
             Fault.corrupt_byte salt damaged;
-            if Bytebuf.fnv64 (Bytes.to_string damaged) <> checksum then
+            if digest damaged <> checksum then
               retry "failed its checksum"
             else begin
               (* the flip landed on an empty payload: delivered intact *)

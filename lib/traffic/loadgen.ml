@@ -60,10 +60,6 @@ let track_overhead = 1.03
 
 let expo rng = -.Float.log (1.0 -. Rng.float rng)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-let fnv_mix h v = Int64.mul (Int64.logxor h v) fnv_prime
-
 let needs_lazy = function
   | Budget.Vanilla | Budget.Precopy -> false
   | Budget.Hybrid | Budget.Postcopy -> true
@@ -155,7 +151,7 @@ let run c scfg p mech =
   in
   let all = Sketch.create () in
   let during = Sketch.create () in
-  let fp = ref fnv_offset in
+  let fp = ref Bytebuf.fnv64_offset in
   let stalled_n = ref 0 in
   let faulted_n = ref 0 in
   let remaining = ref lazy_left in
@@ -220,7 +216,7 @@ let run c scfg p mech =
       Metrics.inc m_stalled;
       Sketch.add during lat
     end;
-    fp := fnv_mix !fp (Int64.bits_of_float lat)
+    fp := Bytebuf.fnv64_mix !fp (Int64.bits_of_float lat)
   done;
   Metrics.inc m_requests ~by:c.lg_requests;
   Ok

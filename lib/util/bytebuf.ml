@@ -37,44 +37,32 @@ let get_i64 s off =
   done;
   !v
 
-(* Buffer has no in-place mutation; rebuild via to_bytes once would be slow,
-   so we keep a Bytes view trick: Buffer does not expose it, so we implement
-   patching by copying out, patching, and re-adding. Patch targets are rare
-   (branch fixups during emission), so emitters instead reserve and rewrite
-   through these helpers that operate on the final byte image. *)
-let patch buf off bytes =
-  let s = Buffer.to_bytes buf in
-  Bytes.blit_string bytes 0 s off (String.length bytes);
-  Buffer.clear buf;
-  Buffer.add_bytes buf s
-
-let patch_u8 buf off v = patch buf off (String.make 1 (Char.chr (v land 0xFF)))
-
-let patch_u32 buf off v =
-  let b = Bytes.create 4 in
-  for i = 0 to 3 do
-    Bytes.set b i (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done;
-  patch buf off (Bytes.to_string b)
-
-let patch_i64 buf off v =
-  let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
-  done;
-  patch buf off (Bytes.to_string b)
-
-(* FNV-1a (64-bit). The canonical content digest of the tree: image
-   files, page payloads and transfer manifests all hash with it, so a
-   checksum computed on one side of a link is comparable on the other. *)
+(* FNV-1a (64-bit): the tree's only content digest. Image files, page
+   payloads, transfer manifests, replay logs, [Process.observe]
+   snapshots and the load-plane fingerprints all hash with it, so a
+   checksum computed on one side of a link is comparable on the other.
+   The folds are plain loops over an unboxed accumulator: no per-byte
+   allocation and no closure per byte. *)
 let fnv64_offset = 0xcbf29ce484222325L
 let fnv64_prime = 0x100000001b3L
 
-let fnv64_fold h s =
+let fnv64_mix h v = Int64.mul (Int64.logxor h v) fnv64_prime
+
+let fnv64_bytes h b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Bytebuf.fnv64_bytes";
   let h = ref h in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv64_prime)
-    s;
+  for i = off to off + len - 1 do
+    h := fnv64_mix !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)))
+  done;
   !h
 
+let fnv64_sub h s off len = fnv64_bytes h (Bytes.unsafe_of_string s) off len
+let fnv64_fold h s = fnv64_sub h s 0 (String.length s)
 let fnv64 s = fnv64_fold fnv64_offset s
+
+let fnv64_int h n =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := fnv64_mix !h (Int64.of_int ((n lsr (i * 8)) land 0xff))
+  done;
+  !h

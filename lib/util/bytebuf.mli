@@ -26,16 +26,16 @@ val get_u16 : string -> int -> int
 val get_u32 : string -> int -> int
 val get_i64 : string -> int -> int64
 
-(** In-place patching of already-emitted bytes. *)
+(** {1 Content digest}
 
-val patch_u8 : t -> int -> int -> unit
-val patch_u32 : t -> int -> int -> unit
-val patch_i64 : t -> int -> int64 -> unit
+    FNV-1a (64-bit) is the tree's only content digest: per-page and
+    per-image checksums on image transfers, replay-log checksums,
+    [Process.observe] snapshots and the load-plane fingerprints all use
+    these functions. Every fold loops over its whole range without
+    allocating. *)
 
-(** {1 Content checksums}
-
-    FNV-1a (64-bit) — the tree's canonical content digest, used for
-    per-page and per-image checksums on image transfers. *)
+(** The standard FNV-1a-64 offset basis: the digest of the empty input. *)
+val fnv64_offset : int64
 
 (** [fnv64 s] digests [s] from the standard offset basis. *)
 val fnv64 : string -> int64
@@ -43,3 +43,19 @@ val fnv64 : string -> int64
 (** [fnv64_fold h s] continues a digest [h] over [s], for multi-part
     payloads (file name + contents, page runs). *)
 val fnv64_fold : int64 -> string -> int64
+
+(** [fnv64_sub h s off len] continues [h] over [s.[off] .. s.[off+len-1]]
+    in place: equal to [fnv64_fold h (String.sub s off len)] without the
+    copy. Raises [Invalid_argument] when the range is out of bounds. *)
+val fnv64_sub : int64 -> string -> int -> int -> int64
+
+(** [fnv64_bytes h b off len] is {!fnv64_sub} over a [bytes] range. *)
+val fnv64_bytes : int64 -> bytes -> int -> int -> int64
+
+(** [fnv64_int h n] continues [h] over the 8 little-endian bytes of [n]. *)
+val fnv64_int : int64 -> int -> int64
+
+(** [fnv64_mix h v] mixes a whole 64-bit word in one FNV-1a step
+    ([(h xor v) * prime]), for fingerprints folded over numeric
+    results rather than bytes. *)
+val fnv64_mix : int64 -> int64 -> int64

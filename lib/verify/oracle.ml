@@ -8,7 +8,6 @@ module Unwind = Dapper.Unwind
 module Dump = Dapper_criu.Dump
 module Images = Dapper_criu.Images
 module Rewrite = Dapper.Rewrite
-module Plan_cache = Dapper.Plan_cache
 module Derr = Dapper_util.Dapper_error
 
 type report = {
@@ -279,15 +278,12 @@ let run ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(max_points = max_int) ~src
 type fastpath_report = {
   fp_app : string;
   fp_points : int;
-  fp_memo_thread_hits : int;
-  fp_memo_page_hits : int;
   fp_saved_transfer_ms : float;
 }
 
 let fastpath_report_to_string r =
   Printf.sprintf
-    "%s fastpaths: %d points, memo hits %d thread / %d page, transfer saved %.3f ms"
-    r.fp_app r.fp_points r.fp_memo_thread_hits r.fp_memo_page_hits
+    "%s fastpaths: %d points, transfer saved %.3f ms" r.fp_app r.fp_points
     r.fp_saved_transfer_ms
 
 (* Drive one full session, capturing the exact bytes that crossed the
@@ -314,8 +310,7 @@ let check_fastpaths ?(budget = 50_000_000) ?(points = 3) ~src ~dst
   let base_cfg =
     { (Session.default_config ~src_bin ~dst_bin) with Session.cfg_pause_budget = budget }
   in
-  let memo = Plan_cache.create_memo () in
-  let checked = ref 0 and thr_hits = ref 0 and page_hits = ref 0 in
+  let checked = ref 0 in
   let saved = ref 0.0 in
   let go () =
     let k = ref 0 in
@@ -353,35 +348,17 @@ let check_fastpaths ?(budget = 50_000_000) ?(points = 3) ~src ~dst
          let _workers =
            variant "multi-worker" { base_cfg with Session.cfg_recode_workers = 4 }
          in
-         (* incrementality: cold fill then warm replay over the same point *)
-         let cold =
-           variant "memo-cold" { base_cfg with Session.cfg_recode_memo = Some memo }
-         in
-         let warm =
-           variant "memo-warm" { base_cfg with Session.cfg_recode_memo = Some memo }
-         in
-         let wrw = warm.Session.r_rewrite in
-         if wrw.Rewrite.st_memo_thread_hits = 0 && wrw.Rewrite.st_memo_page_hits = 0 then
-           fail !k "warm memo run hit nothing";
-         if
-           warm.Session.r_times.Session.t_recode_ms
-           > cold.Session.r_times.Session.t_recode_ms +. 1e-9
-         then fail !k "warm memo recode costs more than cold";
-         thr_hits := !thr_hits + wrw.Rewrite.st_memo_thread_hits;
-         page_hits := !page_hits + wrw.Rewrite.st_memo_page_hits;
-         (* all three fast paths composed *)
+         (* both fast paths composed *)
          let _all =
            variant "combined"
              { base_cfg with Session.cfg_pipeline = true; cfg_chunk_bytes = 4096;
-               cfg_recode_workers = 4; cfg_recode_memo = Some memo }
+               cfg_recode_workers = 4 }
          in
          incr checked;
          k := !k + 2)
     done;
     { fp_app = c.Link.cp_app;
       fp_points = !checked;
-      fp_memo_thread_hits = !thr_hits;
-      fp_memo_page_hits = !page_hits;
       fp_saved_transfer_ms = !saved }
   in
   match go () with

@@ -80,22 +80,17 @@ val advance_to_point : Dapper_machine.Process.t -> budget:int -> int -> bool
 
 (** {1 Fast-path byte equivalence}
 
-    The recode fast paths — pipelined transfer, output-level
-    memoization (cold fill and warm replay), the multi-worker cost
-    model, and all three combined — must produce byte-identical wire
+    The recode fast paths — pipelined transfer, the multi-worker cost
+    model, and both combined — must produce byte-identical wire
     images and equivalent restored processes. [check_fastpaths] parks a
     fresh source at up to [points] equivalence points and, at each,
     runs the sequential pipeline followed by every fast-path variant,
     comparing the transferred image files byte-for-byte and requiring
-    the pipelined transfer cost never to exceed the sequential one, a
-    warm memo run to actually hit and not to cost more recode time
-    than its cold fill. *)
+    the pipelined transfer cost never to exceed the sequential one. *)
 
 type fastpath_report = {
   fp_app : string;
   fp_points : int;            (** equivalence points exercised *)
-  fp_memo_thread_hits : int;  (** warm-replay thread hits observed *)
-  fp_memo_page_hits : int;    (** warm-replay pass-through page hits *)
   fp_saved_transfer_ms : float; (** sequential minus pipelined transfer *)
 }
 

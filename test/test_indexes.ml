@@ -259,7 +259,7 @@ let test_index_memo_by_content () =
   (* same list value: physical-equality fast path *)
   let ix2 = Stackmap_index.get maps in
   check Alcotest.bool "same list is memoized" true (ix1 == ix2);
-  (* structurally equal but physically distinct: content-hash hit *)
+  (* structurally equal but physically distinct: content hit *)
   let copy =
     Dapper_binary.Stackmap.deserialize (Dapper_binary.Stackmap.serialize maps)
   in

@@ -184,6 +184,74 @@ let test_clock_monotonic () =
   | Process.Exited_run 1L -> ()
   | _ -> Alcotest.fail "clock not monotonic"
 
+(* A guest [write] with a bad length is contained: a negative length,
+   or a range that is not mapped, crashes the guest and never the host,
+   and nothing of the requested size is allocated first. *)
+let test_write_bad_length () =
+  let reason arch len_or_addr =
+    let m = create "w" in
+    Cstd.add m;
+    global m "g" 8;
+    func m "main" [] (fun b ->
+        do_ b (call "write" len_or_addr);
+        ret b (i 0));
+    let c = Link.compile ~app:"w" (finish m) in
+    let p = Process.load (Link.binary_for c arch) in
+    match Process.run_to_completion p ~fuel:1_000_000 with
+    | Process.Crashed cr -> cr.cr_reason
+    | _ -> Alcotest.failf "%s: bad write was not a contained crash" (Arch.name arch)
+  in
+  let mentions what s =
+    let n = String.length what in
+    let rec go k = k + n <= String.length s && (String.sub s k n = what || go (k + 1)) in
+    go 0
+  in
+  List.iter
+    (fun arch ->
+      let name = Arch.name arch in
+      check Alcotest.bool (name ^ ": negative length") true
+        (mentions "negative length" (reason arch [ i 1; addr "g"; i (-1) ]));
+      check Alcotest.bool (name ^ ": unmapped range") true
+        (mentions "segfault" (reason arch [ i 1; i 16; i 8 ]));
+      check Alcotest.bool (name ^ ": huge length runs off the mapping") true
+        (mentions "segfault" (reason arch [ i 1; addr "g"; i (1 lsl 40) ])))
+    [ Arch.X86_64; Arch.Aarch64 ]
+
+(* Golden digests of [observe] / [observe_pages] for nginx after 300k
+   instructions on each ISA: they pin the fold order, the page-number
+   prefix and the flag-word masking, so the digests cannot drift. *)
+let test_observe_golden () =
+  let c = Registry_helpers.compute () in
+  List.iter
+    (fun (arch, data, heap, tls, fold) ->
+      let p = Process.load (Link.binary_for c arch) in
+      (match Process.run p ~max_instrs:300_000 with
+       | Process.Progress -> ()
+       | _ -> Alcotest.fail "nginx finished early");
+      let sn = Process.observe p in
+      let pages = Process.observe_pages p in
+      let kind = function
+        | Process.Vma_data -> 1
+        | Process.Vma_heap -> 2
+        | Process.Vma_tls -> 3
+        | _ -> 0
+      in
+      let name = Arch.name arch in
+      check Alcotest.int64 (name ^ " data") data sn.Process.sn_data;
+      check Alcotest.int64 (name ^ " heap") heap sn.Process.sn_heap;
+      check Alcotest.int64 (name ^ " tls") tls sn.Process.sn_tls;
+      check Alcotest.int (name ^ " pages") 3 (List.length pages);
+      check Alcotest.int64 (name ^ " page digests") fold
+        (List.fold_left
+           (fun h (k, pn, d) ->
+             Int64.add (Int64.mul h 1_000_003L)
+               (Int64.logxor d (Int64.of_int ((pn * 4) + kind k))))
+           0L pages))
+    [ ( Arch.X86_64, 0x1cb833a71168dfc4L, 0xf77bcce00e673e5cL, 0xd07bc2537d4175c8L,
+        0xf18fd8ae6347ddecL );
+      ( Arch.Aarch64, 0xad2b9a110147a620L, 0x646cb4e005533637L, 0xd07bc2537d4175c8L,
+        0xf8b54dd6019c18ffL ) ]
+
 let suites =
   [ ( "machine-memory",
       [ Alcotest.test_case "cross-page access" `Quick test_memory_cross_page;
@@ -199,4 +267,7 @@ let suites =
         Alcotest.test_case "spawn limit" `Quick test_spawn_limit;
         Alcotest.test_case "join unknown tid" `Quick test_join_unknown_tid;
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
-        Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic ] ) ]
+        Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
+        Alcotest.test_case "write with a bad length is contained" `Quick
+          test_write_bad_length;
+        Alcotest.test_case "observe digests pinned" `Quick test_observe_golden ] ) ]

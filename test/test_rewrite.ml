@@ -201,76 +201,6 @@ let qcheck_shuffle_any_seed =
         Int64.equal v code && String.equal (Process.stdout_contents p) out
       | _ -> false)
 
-(* Property: incremental recode is invisible. Populate an output memo
-   with a cold rewrite, mutate a random subset of the dumped data pages
-   (never stack, code or the pause flag — those feed the rewriter
-   itself), then rewrite the mutated image twice: once from scratch and
-   once against the warm memo. The two outputs must be byte-identical —
-   page/thread memo hits can only skip work, never change bytes. Corpus:
-   the seeded generator behind the fuzz oracle. *)
-let qcheck_incremental_rewrite_byte_equal =
-  QCheck.Test.make ~name:"incremental recode byte-equals full recode" ~count:6
-    QCheck.(pair (int_range 1 40) (int_range 0 10_000))
-    (fun (gen_seed, mut_seed) ->
-      let c = Dapper_verify.Gen.compile gen_seed in
-      let p = Process.load c.Link.cp_x86 in
-      match Monitor.request_pause p ~budget:50_000_000 with
-      | Error Dapper_util.Dapper_error.Process_exited -> true (* no point reached *)
-      | Error e -> failwith (Monitor.error_to_string e)
-      | Ok _ ->
-        let image = ok (Dapper_criu.Dump.dump p) in
-        let memo = Plan_cache.create_memo () in
-        let cold, _ = ok (Rewrite.rewrite ~memo image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm) in
-        let plain, _ = ok (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm) in
-        let files i = List.sort compare (Dapper_criu.Images.to_files i) in
-        if files cold <> files plain then failwith "cold memo run diverged";
-        (* mutate a random subset of in-dump data pages *)
-        let is_stack pn =
-          let a = Layout.addr_of_page pn in
-          Int64.compare a (Layout.stack_limit_of_thread (Layout.max_threads - 1)) >= 0
-        in
-        let is_code pn =
-          let a = Layout.addr_of_page pn in
-          Int64.compare a Layout.code_base >= 0 && Int64.compare a Layout.data_base < 0
-        in
-        let flag_pn = Layout.page_of_addr c.Link.cp_x86.bin_anchors.a_flag in
-        let candidates =
-          List.concat_map
-            (fun (e : Dapper_criu.Images.pagemap_entry) ->
-              if not e.pm_in_dump then []
-              else
-                List.filter
-                  (fun pn -> (not (is_stack pn)) && (not (is_code pn)) && pn <> flag_pn)
-                  (List.init e.pm_npages (fun k -> Layout.page_of_addr e.pm_vaddr + k)))
-            image.Dapper_criu.Images.is_pagemap
-        in
-        let rng = Dapper_util.Rng.create (Int64.of_int ((mut_seed * 2) + 1)) in
-        let mutated, n_mutated =
-          List.fold_left
-            (fun (img, n) pn ->
-              if Dapper_util.Rng.float rng < 0.4 then
-                match Dapper_criu.Images.read_page img pn with
-                | None -> (img, n)
-                | Some page ->
-                  let b = Bytes.of_string page in
-                  let off = Dapper_util.Rng.int rng (Bytes.length b) in
-                  Bytes.set b off
-                    (Char.chr (Char.code (Bytes.get b off) lxor 0x5a));
-                  (Dapper_criu.Images.write_page img pn (Bytes.to_string b), n + 1)
-              else (img, n))
-            (image, 0) candidates
-        in
-        let warm, wst =
-          ok (Rewrite.rewrite ~memo mutated ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)
-        in
-        let full, _ = ok (Rewrite.rewrite mutated ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm) in
-        (* untouched stacks always replay from the memo; pass-through
-           pages hit unless this draw mutated every candidate *)
-        (wst.Rewrite.st_memo_thread_hits > 0
-         || wst.Rewrite.st_memo_page_hits > 0
-         || n_mutated = List.length candidates)
-        && files warm = files full)
-
 let suites =
   [ ( "rewrite",
       [ QCheck_alcotest.to_alcotest qcheck_migration_any_point;
@@ -284,5 +214,4 @@ let suites =
         Alcotest.test_case "heap/globals preserved" `Quick
           test_rewrite_preserves_heap_and_globals;
         Alcotest.test_case "stats sensible" `Quick test_rewrite_stats_sensible;
-        QCheck_alcotest.to_alcotest qcheck_shuffle_any_seed;
-        QCheck_alcotest.to_alcotest qcheck_incremental_rewrite_byte_equal ] ) ]
+        QCheck_alcotest.to_alcotest qcheck_shuffle_any_seed ] ) ]

@@ -451,8 +451,7 @@ let test_stats_warm_vs_cold_plan_cache () =
    Byte-equivalence of every fast path against the sequential pipeline
    is enforced by the fastpath oracle (lib/verify/oracle.ml, run under
    @conformance); here we pin the cost-model semantics: overlap only
-   helps, byte accounting reconciles, workers are clamped, and a warm
-   memo shrinks the recode charge. *)
+   helps, byte accounting reconciles and workers are clamped. *)
 
 let run_at_point c cfg point =
   let p = Process.load c.Link.cp_x86 in
@@ -514,7 +513,7 @@ let test_recode_bytes_reconcile () =
   in
   check (Alcotest.float 1e-9) "recode ms = recode_ns over its sr_bytes" expect
     recode.Session.sr_ms;
-  (* default config: scale 1.0, no memo — dump charges the source image,
+  (* default config: scale 1.0 — dump charges the source image,
      recode the full rewritten image, the wire what it actually shipped *)
   check Alcotest.bool "dump charged real bytes" true (dump.Session.sr_bytes > 0);
   check Alcotest.int "recode charges the rewritten image (nothing skipped)"
@@ -542,36 +541,6 @@ let test_recode_workers_model () =
   (* perfect-split floor: W workers can never beat work/W *)
   check Alcotest.bool "no superlinear speedup" true
     (t 4 >= t 1 /. 4.0 -. 1e-9)
-
-let test_memo_warm_session () =
-  let c = Option.get (Dapper_verify.Corpus.find "mini-sieve") in
-  let memo = Plan_cache.create_memo () in
-  let cfg = { (config_for c) with Session.cfg_recode_memo = Some memo } in
-  let cold = run_at_point c cfg 3 in
-  let cold_t = Session.times cold in
-  let cr = Session.finish cold in
-  let warm = run_at_point c cfg 3 in
-  let warm_t = Session.times warm in
-  let wr = Session.finish warm in
-  let crw = cr.Session.r_rewrite and wrw = wr.Session.r_rewrite in
-  check Alcotest.int "cold run hits nothing" 0
-    (crw.Rewrite.st_memo_thread_hits + crw.Rewrite.st_memo_page_hits);
-  check Alcotest.bool "warm run replays memoized outputs" true
-    (wrw.Rewrite.st_memo_thread_hits > 0 && wrw.Rewrite.st_memo_page_hits > 0);
-  check Alcotest.bool "warm run skips bytes" true (wrw.Rewrite.st_skipped_bytes > 0);
-  check Alcotest.bool "warm recode charge shrinks" true
-    (warm_t.Session.t_recode_ms < cold_t.Session.t_recode_ms);
-  (* identical destination behavior either way *)
-  (match
-     ( Process.run_to_completion cr.Session.r_process ~fuel:50_000_000,
-       Process.run_to_completion wr.Session.r_process ~fuel:50_000_000 )
-   with
-   | Process.Exited_run a, Process.Exited_run b ->
-     check Alcotest.bool "same exit code" true (Int64.equal a b);
-     check Alcotest.string "same output"
-       (Process.stdout_contents cr.Session.r_process)
-       (Process.stdout_contents wr.Session.r_process)
-   | _ -> Alcotest.fail "a destination did not complete")
 
 (* Satellite: scoped plan-cache counters survive a concurrent
    [reset_counters] — the per-run sink tallies every lookup made while
@@ -764,8 +733,6 @@ let suites =
           test_recode_bytes_reconcile;
         Alcotest.test_case "multi-worker recode cost model" `Quick
           test_recode_workers_model;
-        Alcotest.test_case "warm memo shrinks recode charge" `Quick
-          test_memo_warm_session;
         Alcotest.test_case "scoped counters immune to reset" `Quick
           test_scoped_counters_immune_to_reset;
         Alcotest.test_case "pre-copy rollback leaves source resumable" `Quick

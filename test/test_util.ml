@@ -81,7 +81,24 @@ let test_fnv64 () =
   check Alcotest.bool "fold composes" true
     (Int64.equal
        (Bytebuf.fnv64_fold (Bytebuf.fnv64 "ab") "cd")
-       (Bytebuf.fnv64 "abcd"))
+       (Bytebuf.fnv64 "abcd"));
+  (* published FNV-1a-64 test vectors *)
+  check Alcotest.int64 "fnv64 \"a\"" 0xaf63dc4c8601ec8cL (Bytebuf.fnv64 "a");
+  check Alcotest.int64 "fnv64 \"foobar\"" 0x85944171f73967e8L (Bytebuf.fnv64 "foobar")
+
+let qcheck_fnv64_range =
+  QCheck.Test.make ~name:"fnv64 byte-range fold equals fnv64 of the substring"
+    ~count:500
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      let want = Bytebuf.fnv64 (String.sub s off len) in
+      Int64.equal (Bytebuf.fnv64_sub Bytebuf.fnv64_offset s off len) want
+      && Int64.equal
+           (Bytebuf.fnv64_bytes Bytebuf.fnv64_offset (Bytes.of_string s) off len)
+           want)
 
 (* ----- unified error classification -----
 
@@ -263,8 +280,13 @@ let qcheck_event_heap_interleaved =
           match op with
           | Some (t, k) ->
             Event_heap.push h ~key:k ~time:(float_of_int t) !seq;
-            model :=
-              List.stable_sort compare ((float_of_int t, k, !seq) :: !model);
+            (* O(n) sorted insert after every entry comparing <= the new
+               one: the same order as a stable sort, since seq is unique *)
+            let rec insert e = function
+              | x :: rest when compare x e <= 0 -> x :: insert e rest
+              | l -> e :: l
+            in
+            model := insert (float_of_int t, k, !seq) !model;
             incr seq
           | None -> (
             match (Event_heap.pop h, !model) with
@@ -311,6 +333,7 @@ let suites =
         Alcotest.test_case "rng permutation" `Quick test_rng_permutation;
         Alcotest.test_case "bytebuf roundtrip" `Quick test_bytebuf_roundtrip;
         Alcotest.test_case "fnv64 digests" `Quick test_fnv64;
+        QCheck_alcotest.to_alcotest qcheck_fnv64_range;
         Alcotest.test_case "error classification exhaustive" `Quick
           test_error_classification;
         Alcotest.test_case "error stages" `Quick test_error_stages;
