@@ -1,4 +1,5 @@
-let page_size = 4096
+let page_bits = 12
+let page_size = 1 lsl page_bits
 
 let code_base = 0x0040_0000L
 let data_base = 0x0060_0000L

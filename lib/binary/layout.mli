@@ -5,6 +5,8 @@
     Section III-D1). These constants define the common layout both
     backends target. *)
 
+(** [page_size] is [1 lsl page_bits]. *)
+val page_bits : int
 val page_size : int
 
 val code_base : int64

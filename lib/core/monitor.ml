@@ -37,10 +37,10 @@ let rollback_blocked p (th : Process.thread) =
   let ret_addr, undo =
     match arch with
     | Arch.X86_64 ->
-      let sp = th.regs.(Arch.sp arch) in
+      let sp = Process.reg th (Arch.sp arch) in
       let ret = Process.peek_data p sp in
-      (ret, fun () -> th.regs.(Arch.sp arch) <- Int64.add sp 8L)
-    | Arch.Aarch64 -> (th.regs.(30), fun () -> ())
+      (ret, fun () -> Process.set_reg th (Arch.sp arch) (Int64.add sp 8L))
+    | Arch.Aarch64 -> (Process.reg th 30, fun () -> ())
   in
   let ix = index_of p in
   match Stackmap_index.func_of_addr ix ret_addr with

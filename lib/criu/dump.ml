@@ -95,7 +95,7 @@ let dump_exn ?(lazy_pages = false) (p : Process.t) =
     List.map
       (fun (th : Process.thread) ->
         { Images.tc_tid = th.tid; tc_arch = p.Process.arch;
-          tc_regs = Array.copy th.regs; tc_pc = th.pc; tc_tls = th.tls })
+          tc_regs = Process.regs_to_array th.regs; tc_pc = th.pc; tc_tls = th.tls })
       live
   in
   { Images.is_cores = cores;

@@ -40,7 +40,7 @@ let restore_exn ?page_source (is : Images.image_set) (binary : Binary.t) =
   let threads =
     List.map
       (fun (tc : Images.thread_core) ->
-        { Process.tid = tc.tc_tid; regs = Array.copy tc.tc_regs; pc = tc.tc_pc;
+        { Process.tid = tc.tc_tid; regs = Process.regs_of_array tc.tc_regs; pc = tc.tc_pc;
           tls = tc.tc_tls; status = Process.Runnable; instrs = 0L })
       is.is_cores
   in

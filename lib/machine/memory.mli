@@ -55,10 +55,25 @@ val dirty_pages : t -> int list
 (** Empty the dirty set, keeping tracking on. *)
 val clear_dirty : t -> unit
 
+(** {2 Access}
+
+    A one-entry page TLB (the last page resolved, by number, and its
+    bytes) serves in-page accesses without a page-table lookup; the u8
+    and u64 accessors inline to that fast path, which writes take only
+    while dirty tracking is off. [map_page] and [unmap_page] empty the
+    TLB. Page-straddling and TLB-missing accesses take the page table,
+    with the same faults and [Segfault]s. *)
+
 val read_u8 : t -> int64 -> int
 val read_u64 : t -> int64 -> int64
 val write_u8 : t -> int64 -> int -> unit
 val write_u64 : t -> int64 -> int64 -> unit
+
+(** [read_u64_into t addr dst off] stores [read_u64 t addr] into [dst]
+    at [off] (8 little-endian bytes), so an inlined in-page load does not
+    box its result where the fast and slow paths meet. *)
+val read_u64_into : t -> int64 -> bytes -> int -> unit
+
 val read_bytes : t -> int64 -> int -> string
 val write_bytes : t -> int64 -> string -> unit
 

@@ -12,7 +12,7 @@ type thread_status =
 
 type thread = {
   tid : int;
-  regs : int64 array;
+  regs : bytes;
   mutable pc : int64;
   mutable tls : int64;
   mutable status : thread_status;
@@ -38,13 +38,88 @@ type t = {
   mutable crash : crash option;
   mutable total_instrs : int64;
   mutable nondet : nondet option;
-  decode_cache : (int64, Minstr.t * int) Hashtbl.t;
+  code : code_cache;
+}
+
+(* Decoded .text: one array per page, indexed by page offset, filled on
+   the first execution of each pc (so code pages fault in exactly when
+   an uncached interpreter would fault them). Each entry holds the
+   instruction and its fall-through pc, boxed once at decode time.
+   Pages not yet executed, or invalidated by a store, share [blank]. *)
+and decoded = { ins : Minstr.t; next : int64 }
+
+and code_cache = {
+  cc_first : int;                  (* page number of the first .text page *)
+  cc_pages : decoded array array;  (* one per .text page *)
 }
 
 exception Exec_error of string
 
 let ( +% ) = Int64.add
 let ( -% ) = Int64.sub
+
+(* ----- register file: 8 little-endian bytes per DWARF register ----- *)
+
+let reg_count = 33
+
+let[@inline] get regs r = Bytes.get_int64_le regs (r lsl 3)
+let[@inline] set regs r v = Bytes.set_int64_le regs (r lsl 3) v
+let reg th r = get th.regs r
+let set_reg th r v = set th.regs r v
+
+let regs_to_array regs = Array.init (Bytes.length regs / 8) (get regs)
+
+let regs_of_array a =
+  let regs = Bytes.create (8 * Array.length a) in
+  Array.iteri (set regs) a;
+  regs
+
+(* ----- code cache ----- *)
+
+let page_mask = Layout.page_size - 1
+
+let undecoded = { ins = Minstr.Nop; next = 0L }
+let blank = Array.make Layout.page_size undecoded
+
+let code_cache (binary : Binary.t) =
+  match Binary.find_section binary ".text" with
+  | Some s when String.length s.sec_data > 0 ->
+    let first = Layout.page_of_addr s.sec_addr in
+    let last =
+      Layout.page_of_addr (s.sec_addr +% Int64.of_int (String.length s.sec_data - 1))
+    in
+    { cc_first = first; cc_pages = Array.make (last - first + 1) blank }
+  | _ -> { cc_first = 0; cc_pages = [||] }
+
+(* Index of [addr]'s page in [cc_pages]; out of range (possibly
+   negative) when [addr] is outside .text. *)
+let[@inline] page_index cc addr =
+  (Int64.to_int addr lsr Layout.page_bits) - cc.cc_first
+
+(* Drop the decoded entries of the pages [addr .. addr+len-1] touches and
+   of the page before them: an x86-sim instruction may straddle a page
+   boundary, so a store can change an instruction that starts one page
+   earlier. *)
+let invalidate_code cc addr len =
+  let lo = page_index cc addr - 1 in
+  let hi = page_index cc (addr +% Int64.of_int (len - 1)) in
+  for i = max lo 0 to min hi (Array.length cc.cc_pages - 1) do
+    cc.cc_pages.(i) <- blank
+  done
+
+(* Every store through the process keeps the code cache coherent; a
+   store outside .text and the page after it costs one compare. *)
+let[@inline] in_code cc addr =
+  let i = page_index cc addr in
+  i >= 0 && i <= Array.length cc.cc_pages
+
+let[@inline] store_u64 t addr v =
+  if in_code t.code addr then invalidate_code t.code addr 8;
+  Memory.write_u64 t.mem addr v
+
+let[@inline] store_u8 t addr v =
+  if in_code t.code addr then invalidate_code t.code addr 1;
+  Memory.write_u8 t.mem addr v
 
 (* ----- demand paging: code pages from the binary, stack growth ----- *)
 
@@ -120,12 +195,13 @@ let setup_stack t tid ~stub =
 
 let make_thread t ~tid ~pc ~stub =
   let th =
-    { tid; regs = Array.make 33 0L; pc; tls = 0L; status = Runnable; instrs = 0L }
+    { tid; regs = Bytes.make (8 * reg_count) '\000'; pc; tls = 0L; status = Runnable;
+      instrs = 0L }
   in
   let sp = setup_stack t tid ~stub in
-  th.regs.(Arch.sp t.arch) <- sp;
+  set_reg th (Arch.sp t.arch) sp;
   (match Arch.link_reg t.arch with
-   | Some lr -> th.regs.(lr) <- stub
+   | Some lr -> set_reg th lr stub
    | None -> ());
   th.tls <- setup_tls t tid;
   th
@@ -135,8 +211,7 @@ let load binary =
   let t =
     { arch = binary.Binary.bin_arch; mem; binary; threads = []; next_tid = 0;
       brk = Layout.heap_base; stdout_buf = Buffer.create 256; exit_code = None;
-      crash = None; total_instrs = 0L; nondet = None;
-      decode_cache = Hashtbl.create 4096 }
+      crash = None; total_instrs = 0L; nondet = None; code = code_cache binary }
   in
   List.iter
     (fun (s : Binary.section) -> if not s.sec_exec then map_section mem s)
@@ -153,7 +228,7 @@ let reconstruct binary mem ~threads ~brk =
   let next_tid = 1 + List.fold_left (fun m th -> max m th.tid) 0 threads in
   { arch = binary.Binary.bin_arch; mem; binary; threads; next_tid; brk;
     stdout_buf = Buffer.create 256; exit_code = None; crash = None;
-    total_instrs = 0L; nondet = None; decode_cache = Hashtbl.create 4096 }
+    total_instrs = 0L; nondet = None; code = code_cache binary }
 
 (* ----- helpers ----- *)
 
@@ -286,7 +361,7 @@ let snapshot_to_string s =
 (* ----- ptrace-like interface ----- *)
 
 let peek_data t addr = Memory.read_u64 t.mem addr
-let poke_data t addr v = Memory.write_u64 t.mem addr v
+let poke_data t addr v = store_u64 t addr v
 
 let stop_thread t tid =
   let th = thread t tid in
@@ -303,24 +378,29 @@ let resume_thread t tid =
 
 (* ----- interpreter ----- *)
 
-let fetch t (th : thread) =
-  match Hashtbl.find_opt t.decode_cache th.pc with
-  | Some r -> r
-  | None ->
-    let window = Memory.read_bytes t.mem th.pc 16 in
-    (match Encoding.decode t.arch window 0 with
-     | Some (i, sz) ->
-       let r = (i, sz) in
-       Hashtbl.replace t.decode_cache th.pc r;
-       r
-     | None ->
-       raise (Exec_error (Printf.sprintf "undecodable instruction at 0x%Lx" th.pc)))
+(* Decode the instruction at [pc] from memory, caching it when [pc] is in
+   .text. Pcs outside .text (only wild jumps reach them) are decoded on
+   every execution, so they need no invalidation. *)
+let decode t pc =
+  let window = Memory.read_bytes t.mem pc 16 in
+  match Encoding.decode t.arch window 0 with
+  | Some (ins, sz) ->
+    let d = { ins; next = pc +% Int64.of_int sz } in
+    let cc = t.code in
+    let i = page_index cc pc in
+    if i >= 0 && i < Array.length cc.cc_pages then begin
+      if cc.cc_pages.(i) == blank then
+        cc.cc_pages.(i) <- Array.make Layout.page_size undecoded;
+      cc.cc_pages.(i).(Int64.to_int pc land page_mask) <- d
+    end;
+    d
+  | None -> raise (Exec_error (Printf.sprintf "undecodable instruction at 0x%Lx" pc))
 
 let f64 v = Int64.float_of_bits v
 let of_f64 v = Int64.bits_of_float v
 let bool64 b = if b then 1L else 0L
 
-let eval_binop (op : Minstr.binop) a b =
+let[@inline] eval_binop (op : Minstr.binop) a b =
   match op with
   | Add -> a +% b
   | Sub -> a -% b
@@ -348,7 +428,7 @@ let eval_binop (op : Minstr.binop) a b =
   | Fcmplt -> bool64 (f64 a < f64 b)
   | Fcmple -> bool64 (f64 a <= f64 b)
 
-let eval_unop (op : Minstr.unop) a =
+let[@inline] eval_unop (op : Minstr.unop) a =
   match op with
   | Neg -> Int64.neg a
   | Not -> Int64.lognot a
@@ -357,25 +437,33 @@ let eval_unop (op : Minstr.unop) a =
   | Fptosi -> Int64.of_float (f64 a)
   | Fsqrt -> of_f64 (Float.sqrt (f64 a))
 
+let x86_arg_regs = Array.of_list (Arch.arg_regs Arch.X86_64)
+let arm_arg_regs = Array.of_list (Arch.arg_regs Arch.Aarch64)
+
+let arg_regs = function
+  | Arch.X86_64 -> x86_arg_regs
+  | Arch.Aarch64 -> arm_arg_regs
+
+(* Completed syscall results flow through the nondet tap: a recorder
+   logs the value unchanged, a replayer validates it (or substitutes it,
+   for the genuinely nondeterministic clock). Blocked paths never reach
+   the tap — the retry that eventually completes does. *)
+let tap t (th : thread) sys v =
+  match t.nondet with None -> v | Some h -> h.nd_syscall ~tid:th.tid ~sys v
+
+let ret t th sys v = set_reg th (Arch.ret_reg t.arch) (tap t th sys v)
+
 (* Executes a syscall for [th]. Returns [true] if the pc should advance
    (non-blocking path) or [false] if the thread blocked (pc stays on the
    syscall so it retries when rescheduled). *)
 let exec_syscall t (th : thread) num =
-  let arg i = th.regs.(List.nth (Arch.arg_regs t.arch) i) in
-  (* Completed syscall results flow through the nondet tap: a recorder
-     logs the value unchanged, a replayer validates it (or substitutes
-     it, for the genuinely nondeterministic clock). Blocked paths never
-     reach the tap — the retry that eventually completes does. *)
-  let tap sys v =
-    match t.nondet with None -> v | Some h -> h.nd_syscall ~tid:th.tid ~sys v
-  in
-  let ret sys v = th.regs.(Arch.ret_reg t.arch) <- tap sys v in
+  let arg i = reg th (arg_regs t.arch).(i) in
   match Arch.syscall_of_number t.arch num with
   | None -> raise (Exec_error (Printf.sprintf "unknown syscall %d" num))
   | Some `Exit ->
     let code = arg 0 in
     (* record-only: the exit code is program state, never substituted *)
-    ignore (tap "exit" code);
+    ignore (tap t th "exit" code);
     if th.tid = 0 then begin
       t.exit_code <- Some code;
       List.iter (fun o -> o.status <- Exited code) t.threads
@@ -386,7 +474,7 @@ let exec_syscall t (th : thread) num =
     let addr = arg 1 and len = Int64.to_int (arg 2) in
     if len < 0 then raise (Exec_error (Printf.sprintf "write: negative length %d" len));
     Buffer.add_string t.stdout_buf (Memory.read_bytes t.mem addr len);
-    ret "write" (Int64.of_int len);
+    ret t th "write" (Int64.of_int len);
     true
   | Some `Sbrk ->
     let delta = Int64.to_int (arg 0) in
@@ -395,40 +483,40 @@ let exec_syscall t (th : thread) num =
       map_zero_range t.mem old delta;
       t.brk <- old +% Int64.of_int delta
     end;
-    ret "sbrk" old;
+    ret t th "sbrk" old;
     true
   | Some `Spawn ->
     let fn = arg 0 and a0 = arg 1 in
     if t.next_tid >= Layout.max_threads then begin
-      ret "spawn" (-1L);
+      ret t th "spawn" (-1L);
       true
     end
     else begin
       let tid = t.next_tid in
       t.next_tid <- tid + 1;
       let child = make_thread t ~tid ~pc:fn ~stub:t.binary.bin_anchors.a_thread_exit_stub in
-      child.regs.(List.hd (Arch.arg_regs t.arch)) <- a0;
+      set_reg child (arg_regs t.arch).(0) a0;
       t.threads <- t.threads @ [ child ];
-      ret "spawn" (Int64.of_int tid);
+      ret t th "spawn" (Int64.of_int tid);
       true
     end
   | Some `Join ->
     let target = Int64.to_int (arg 0) in
     (match List.find_opt (fun o -> o.tid = target) t.threads with
      | Some { status = Exited v; _ } ->
-       ret "join" v;
+       ret t th "join" v;
        true
      | Some _ ->
        th.status <- Blocked_join target;
        false
      | None ->
-       ret "join" (-1L);
+       ret t th "join" (-1L);
        true)
   | Some `Mutex_lock ->
     let addr = arg 0 in
     if Int64.equal (Memory.read_u64 t.mem addr) 0L then begin
-      Memory.write_u64 t.mem addr (Int64.of_int (th.tid + 1));
-      ret "lock" 0L;
+      store_u64 t addr (Int64.of_int (th.tid + 1));
+      ret t th "lock" 0L;
       true
     end
     else begin
@@ -436,90 +524,15 @@ let exec_syscall t (th : thread) num =
       false
     end
   | Some `Mutex_unlock ->
-    Memory.write_u64 t.mem (arg 0) 0L;
-    ret "unlock" 0L;
+    store_u64 t (arg 0) 0L;
+    ret t th "unlock" 0L;
     true
   | Some `Clock ->
-    ret "clock" t.total_instrs;
+    ret t th "clock" t.total_instrs;
     true
   | Some `Yield ->
-    ret "yield" 0L;
+    ret t th "yield" 0L;
     true
-
-let step_thread t (th : thread) =
-  let (i, sz) = fetch t th in
-  let next = th.pc +% Int64.of_int sz in
-  let set r v = th.regs.(r) <- v in
-  let get r = th.regs.(r) in
-  th.instrs <- th.instrs +% 1L;
-  t.total_instrs <- t.total_instrs +% 1L;
-  match i with
-  | Nop -> th.pc <- next
-  | Mov (d, s) -> set d (get s); th.pc <- next
-  | Movi (d, v) -> set d v; th.pc <- next
-  | Movk (d, v) ->
-    set d (Int64.logor (Int64.logand (get d) 0xFFFFFFFFL) (Int64.shift_left v 32));
-    th.pc <- next
-  | Binop (op, d, a, b) -> set d (eval_binop op (get a) (get b)); th.pc <- next
-  | Binopi (op, d, a, v) -> set d (eval_binop op (get a) v); th.pc <- next
-  | Unop (op, d, a) -> set d (eval_unop op (get a)); th.pc <- next
-  | Load (d, base, off) ->
-    set d (Memory.read_u64 t.mem (get base +% Int64.of_int off));
-    th.pc <- next
-  | Store (s, base, off) ->
-    Memory.write_u64 t.mem (get base +% Int64.of_int off) (get s);
-    th.pc <- next
-  | Load8 (d, base, off) ->
-    set d (Int64.of_int (Memory.read_u8 t.mem (get base +% Int64.of_int off)));
-    th.pc <- next
-  | Store8 (s, base, off) ->
-    Memory.write_u8 t.mem (get base +% Int64.of_int off) (Int64.to_int (get s) land 0xFF);
-    th.pc <- next
-  | Load_pair (d1, d2, base, off) ->
-    let b = get base in
-    set d1 (Memory.read_u64 t.mem (b +% Int64.of_int off));
-    set d2 (Memory.read_u64 t.mem (b +% Int64.of_int (off + 8)));
-    th.pc <- next
-  | Store_pair (s1, s2, base, off) ->
-    let b = get base in
-    Memory.write_u64 t.mem (b +% Int64.of_int off) (get s1);
-    Memory.write_u64 t.mem (b +% Int64.of_int (off + 8)) (get s2);
-    th.pc <- next
-  | Tls_get d -> set d th.tls; th.pc <- next
-  | Call target ->
-    (match t.arch with
-     | Arch.X86_64 ->
-       let sp = get (Arch.sp t.arch) -% 8L in
-       set (Arch.sp t.arch) sp;
-       Memory.write_u64 t.mem sp next
-     | Arch.Aarch64 -> set 30 next);
-    th.pc <- target
-  | Call_reg s ->
-    let target = get s in
-    (match t.arch with
-     | Arch.X86_64 ->
-       let sp = get (Arch.sp t.arch) -% 8L in
-       set (Arch.sp t.arch) sp;
-       Memory.write_u64 t.mem sp next
-     | Arch.Aarch64 -> set 30 next);
-    th.pc <- target
-  | Ret ->
-    (match t.arch with
-     | Arch.X86_64 ->
-       let sp = get (Arch.sp t.arch) in
-       th.pc <- Memory.read_u64 t.mem sp;
-       set (Arch.sp t.arch) (sp +% 8L)
-     | Arch.Aarch64 -> th.pc <- get 30)
-  | Jmp target -> th.pc <- target
-  | Jz (c, target) -> th.pc <- (if Int64.equal (get c) 0L then target else next)
-  | Jnz (c, target) -> th.pc <- (if Int64.equal (get c) 0L then next else target)
-  | Adjust_sp d ->
-    set (Arch.sp t.arch) (get (Arch.sp t.arch) +% Int64.of_int d);
-    th.pc <- next
-  | Trap ->
-    th.status <- Trapped;
-    th.pc <- next
-  | Syscall num -> if exec_syscall t th num then th.pc <- next
 
 type run_result =
   | Progress
@@ -528,6 +541,119 @@ type run_result =
   | Crashed of crash
 
 let quantum = 64
+
+(* Publish a slice's progress: [pc] and the [n] instructions fetched
+   since the slice began at [instrs0]/[total0]. *)
+let write_back t th pc n instrs0 total0 =
+  th.pc <- pc;
+  th.instrs <- instrs0 +% Int64.of_int n;
+  t.total_instrs <- total0 +% Int64.of_int n
+
+(* Interpret up to [slice] instructions of [th] and return how many ran.
+   The pc and the instruction count live in locals; [write_back]
+   publishes them before every syscall (so [clock] and the nondet tap see
+   exact values), at the end of the slice and before any exception
+   leaves (so a crash reports the faulting pc and exact counts). An
+   instruction counts as soon as it is fetched, even if it then faults
+   or its syscall blocks. *)
+let run_slice t th slice =
+  let instrs0 = th.instrs and total0 = t.total_instrs in
+  let regs = th.regs and mem = t.mem in
+  let cc = t.code in
+  let pages = cc.cc_pages in
+  let npages = Array.length pages in
+  let sp = Arch.sp t.arch in
+  let x86 = match t.arch with Arch.X86_64 -> true | Arch.Aarch64 -> false in
+  let pc = ref th.pc and n = ref 0 in
+  (try
+     while
+       !n < slice
+       && (match th.status with Runnable -> true | _ -> false)
+       && (match t.exit_code with None -> true | Some _ -> false)
+     do
+       let i = page_index cc !pc in
+       let d =
+         if i >= 0 && i < npages then
+           Array.unsafe_get (Array.unsafe_get pages i) (Int64.to_int !pc land page_mask)
+         else undecoded
+       in
+       let d = if d != undecoded then d else decode t !pc in
+       incr n;
+       match d.ins with
+       | Nop -> pc := d.next
+       | Mov (r, s) -> set regs r (get regs s); pc := d.next
+       | Movi (r, v) -> set regs r v; pc := d.next
+       | Movk (r, v) ->
+         set regs r (Int64.logor (Int64.logand (get regs r) 0xFFFFFFFFL) (Int64.shift_left v 32));
+         pc := d.next
+       | Binop (op, r, a, b) -> set regs r (eval_binop op (get regs a) (get regs b)); pc := d.next
+       | Binopi (op, r, a, v) -> set regs r (eval_binop op (get regs a) v); pc := d.next
+       | Unop (op, r, a) -> set regs r (eval_unop op (get regs a)); pc := d.next
+       | Load (r, base, off) ->
+         Memory.read_u64_into mem (get regs base +% Int64.of_int off) regs (r lsl 3);
+         pc := d.next
+       | Store (s, base, off) ->
+         store_u64 t (get regs base +% Int64.of_int off) (get regs s);
+         pc := d.next
+       | Load8 (r, base, off) ->
+         set regs r (Int64.of_int (Memory.read_u8 mem (get regs base +% Int64.of_int off)));
+         pc := d.next
+       | Store8 (s, base, off) ->
+         store_u8 t (get regs base +% Int64.of_int off) (Int64.to_int (get regs s) land 0xFF);
+         pc := d.next
+       | Load_pair (r1, r2, base, off) ->
+         let b = get regs base in
+         Memory.read_u64_into mem (b +% Int64.of_int off) regs (r1 lsl 3);
+         Memory.read_u64_into mem (b +% Int64.of_int (off + 8)) regs (r2 lsl 3);
+         pc := d.next
+       | Store_pair (s1, s2, base, off) ->
+         let b = get regs base in
+         store_u64 t (b +% Int64.of_int off) (get regs s1);
+         store_u64 t (b +% Int64.of_int (off + 8)) (get regs s2);
+         pc := d.next
+       | Tls_get r -> set regs r th.tls; pc := d.next
+       | Call target ->
+         if x86 then begin
+           let s = get regs sp -% 8L in
+           set regs sp s;
+           store_u64 t s d.next
+         end
+         else set regs 30 d.next;
+         pc := target
+       | Call_reg r ->
+         let target = get regs r in
+         if x86 then begin
+           let s = get regs sp -% 8L in
+           set regs sp s;
+           store_u64 t s d.next
+         end
+         else set regs 30 d.next;
+         pc := target
+       | Ret ->
+         if x86 then begin
+           let s = get regs sp in
+           pc := Memory.read_u64 mem s;
+           set regs sp (s +% 8L)
+         end
+         else pc := get regs 30
+       | Jmp target -> pc := target
+       | Jz (c, target) -> pc := (if Int64.equal (get regs c) 0L then target else d.next)
+       | Jnz (c, target) -> pc := (if Int64.equal (get regs c) 0L then d.next else target)
+       | Adjust_sp off ->
+         set regs sp (get regs sp +% Int64.of_int off);
+         pc := d.next
+       | Trap ->
+         th.status <- Trapped;
+         pc := d.next
+       | Syscall num ->
+         write_back t th !pc !n instrs0 total0;
+         if exec_syscall t th num then pc := d.next
+     done
+   with e ->
+     write_back t th !pc !n instrs0 total0;
+     raise e);
+  write_back t th !pc !n instrs0 total0;
+  !n
 
 (* Retry a blocked thread's condition; promotes back to Runnable when the
    blocking syscall would now succeed (the syscall re-executes). *)
@@ -544,29 +670,25 @@ let poll_blocked t (th : thread) =
 let run t ~max_instrs =
   let budget = ref max_instrs in
   let result = ref None in
-  while !result = None && !budget > 0 do
+  while Option.is_none !result && !budget > 0 do
     let progressed = ref false in
     let threads = t.threads in
     List.iter
       (fun th ->
-        if !result = None then begin
+        if Option.is_none !result then begin
           poll_blocked t th;
-          if th.status = Runnable then begin
-            let slice = min quantum !budget in
+          match th.status with
+          | Runnable ->
             (try
-               let n = ref 0 in
-               while !n < slice && th.status = Runnable && t.exit_code = None do
-                 step_thread t th;
-                 incr n
-               done;
-               (* scheduler decision: this thread retired !n instructions
+               let n = run_slice t th (min quantum !budget) in
+               (* scheduler decision: this thread retired n instructions
                   before the round-robin moved on — the interleaving a
                   same-ISA replay must reproduce *)
                (match t.nondet with
-                | Some h when !n > 0 -> h.nd_sched ~tid:th.tid ~steps:!n
+                | Some h when n > 0 -> h.nd_sched ~tid:th.tid ~steps:n
                 | _ -> ());
-               if !n > 0 then progressed := true;
-               budget := !budget - !n
+               if n > 0 then progressed := true;
+               budget := !budget - n
              with
              | Memory.Segfault addr ->
                let c =
@@ -579,10 +701,10 @@ let run t ~max_instrs =
                let c = { cr_tid = th.tid; cr_pc = th.pc; cr_reason = msg } in
                t.crash <- Some c;
                result := Some (Crashed c));
-            match t.exit_code with
-            | Some code -> result := Some (Exited_run code)
-            | None -> ()
-          end
+            (match t.exit_code with
+             | Some code -> result := Some (Exited_run code)
+             | None -> ())
+          | Blocked_join _ | Blocked_lock _ | Trapped | Stopped | Exited _ -> ()
         end)
       threads;
     match !result with

@@ -18,7 +18,8 @@ type thread_status =
 
 type thread = {
   tid : int;
-  regs : int64 array;          (** indexed by DWARF register number *)
+  regs : bytes;                (** register file: 8 little-endian bytes per
+                                   DWARF register; use {!reg}/{!set_reg} *)
   mutable pc : int64;
   mutable tls : int64;         (** TLS base register (FS base / TPIDR) *)
   mutable status : thread_status;
@@ -57,10 +58,24 @@ type t = {
   mutable crash : crash option;
   mutable total_instrs : int64;
   mutable nondet : nondet option;  (** record/replay tap; [None] = untapped *)
-  decode_cache : (int64, Minstr.t * int) Hashtbl.t;
+  code : code_cache;
 }
 
+(** Decoded instructions of the process's .text, kept coherent with
+    every store made through this module. *)
+and code_cache
+
 exception Exec_error of string
+
+(** {1 Register file} *)
+
+val reg : thread -> int -> int64
+val set_reg : thread -> int -> int64 -> unit
+
+(** Conversions between a register file and the [int64 array] a CRIU
+    core image carries (one element per register). *)
+val regs_to_array : bytes -> int64 array
+val regs_of_array : int64 array -> bytes
 
 (** [load binary] maps the data sections, arranges demand paging for code
     pages, and creates the main thread poised at the entry symbol with the
@@ -138,9 +153,10 @@ val observe_pages : t -> (vma_kind * int * int64) list
 (** ptrace-like control interface. *)
 
 val peek_data : t -> int64 -> int64
+
+(** [poke_data t addr v] writes the u64 [v] at [addr]; a write into
+    .text drops the decoded instructions it may have changed, so the
+    next execution there decodes the new bytes. *)
 val poke_data : t -> int64 -> int64 -> unit
 val stop_thread : t -> int -> unit
 val resume_thread : t -> int -> unit
-
-(** Raw single-step of one thread (used by tests and the monitor). *)
-val step_thread : t -> thread -> unit
