@@ -198,7 +198,7 @@ let run_trace file =
   | Ok r ->
     Trace.stop ();
     Trace.export ~file;
-    print_endline (Migrate.cost_report ~stage_histograms:true r);
+    print_endline (Migrate.cost_report r);
     print_string (Trace.flame_summary ());
     Printf.printf "wrote %s (%d trace events)\n" file
       (List.length (Trace.events ()))

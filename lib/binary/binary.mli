@@ -53,9 +53,6 @@ val text_size : t -> int
 val find_section : t -> string -> section option
 val find_symbol : t -> string -> symbol option
 
-(** Section containing address [a], if any. *)
-val section_of_addr : t -> int64 -> section option
-
 (** Code bytes for [\[addr, addr+len)], taken from the text section.
     Raises [Invalid_argument] if out of range. *)
 val code_bytes : t -> int64 -> int -> string

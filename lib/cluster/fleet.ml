@@ -4,17 +4,6 @@ open Dapper_net
 open Dapper_codegen
 module Session = Dapper.Session
 module Trace = Dapper_obs.Trace
-module Metrics = Dapper_obs.Metrics
-
-let m_quanta = Metrics.counter "fleet.quanta"
-let m_events = Metrics.counter "fleet.events"
-let m_jobs_done = Metrics.counter "fleet.jobs_done"
-let m_evictions = Metrics.counter "fleet.evictions"
-let m_eviction_retries = Metrics.counter "fleet.eviction_retries"
-let m_eviction_failures = Metrics.counter "fleet.eviction_failures"
-let m_nodes_lost = Metrics.counter "fleet.nodes_lost"
-let m_migration_ms = Metrics.gauge "fleet.migration_ms"
-let m_deferred = Metrics.counter "fleet.evictions_deferred"
 
 type config = {
   f_window_ms : float;
@@ -167,10 +156,7 @@ let run config (jobs : Link.compiled list) =
                 config.f_node_gate)
            && gate_ok
                 (Option.map (fun g -> g ~now_ms:(time_of q)) config.f_slo_gate))
-      then begin
-        incr deferred;
-        Metrics.inc m_deferred
-      end
+      then incr deferred
       else begin
       (* the policy picks the victim among busy xeon slots (in slot
          order); the default [Latest_start] reproduces the old
@@ -219,13 +205,11 @@ let run config (jobs : Link.compiled list) =
                 | Some Fault.Crash ->
                   pi.s_dead <- true;
                   incr nodes_lost;
-                  Metrics.inc m_nodes_lost;
                   true
                 | _ -> false
               in
               if node_killed then begin
                 incr eviction_retries;
-                Metrics.inc m_eviction_retries;
                 recover job.r_compiled.Link.cp_app;
                 report ~node:pi.s_idx ~now_ms:(time_of q) ~ok:false
               end
@@ -238,10 +222,8 @@ let run config (jobs : Link.compiled list) =
                    let r = Session.finish st in
                    report ~node:pi.s_idx ~now_ms:(time_of q) ~ok:true;
                    incr evictions;
-                   Metrics.inc m_evictions;
                    let cost = Session.total_ms r.Session.r_times in
                    migration_ms := !migration_ms +. cost;
-                   Metrics.add m_migration_ms cost;
                    (* the migration's cost stalls the destination slot; the
                       victim slot hands its job over and owes nothing *)
                    pi.s_stall_ms <- pi.s_stall_ms +. cost;
@@ -263,20 +245,13 @@ let run config (jobs : Link.compiled list) =
                       node; only structural failures count as lost
                       evictions. Either way the recovery is charged to the
                       job so flaky applications are visible per name. *)
-                   if Dapper_error.retriable e then begin
-                     incr eviction_retries;
-                     Metrics.inc m_eviction_retries
-                   end
-                   else begin
-                     incr eviction_failures;
-                     Metrics.inc m_eviction_failures
-                   end;
+                   if Dapper_error.retriable e then incr eviction_retries
+                   else incr eviction_failures;
                    recover job.r_compiled.Link.cp_app;
                    (match job.r_proc.Process.exit_code with
                     | Some _ ->
                       (* the job finished during the pause *)
                       incr done_total;
-                      Metrics.inc m_jobs_done;
                       vs.s_job <- None;
                       start_job vs q
                     | None ->
@@ -311,7 +286,6 @@ let run config (jobs : Link.compiled list) =
          match Process.run job.r_proc ~max_instrs:(min instrs config.f_job_fuel) with
          | Process.Exited_run _ ->
            incr done_total;
-           Metrics.inc m_jobs_done;
            if s.s_node.Node.n_arch = Dapper_isa.Arch.Aarch64 then incr done_rpi;
            s.s_job <- None
          | Process.Crashed cr ->
@@ -353,7 +327,6 @@ let run config (jobs : Link.compiled list) =
   let enter_quantum q =
     leave_quantum ();
     Trace.enter ~cat:"fleet" "quantum" ~args:[ ("q", string_of_int q) ];
-    Metrics.inc m_quanta;
     open_q := q
   in
   if quanta > 0 then push_ev 0 key_boundary Boundary;
@@ -362,7 +335,6 @@ let run config (jobs : Link.compiled list) =
     | None -> ()
     | Some (_, (q, ev)) ->
       incr events;
-      Metrics.inc m_events;
       if q <> !open_q then enter_quantum q;
       (match ev with
        | Boundary -> boundary q

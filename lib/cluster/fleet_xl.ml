@@ -1,11 +1,5 @@
 open Dapper_util
 open Dapper_net
-module Metrics = Dapper_obs.Metrics
-
-let m_events = Metrics.counter "fleet_xl.events"
-let m_jobs_done = Metrics.counter "fleet_xl.jobs_done"
-let m_migrations = Metrics.counter "fleet_xl.migrations"
-let m_nodes_lost = Metrics.counter "fleet_xl.nodes_lost"
 
 type class_cfg = {
   xc_node : Node.t;
@@ -250,7 +244,6 @@ let run config kinds =
                 ~service_ms:kind.Scheduler.jk_migration_ms
             in
             incr migrations;
-            Metrics.inc m_migrations;
             migration_ms := !migration_ms +. kind.Scheduler.jk_migration_ms;
             let exec = exec_ms_on s.s_node kind in
             s.s_inflight <-
@@ -269,7 +262,6 @@ let run config kinds =
       s.s_busy_ms <- s.s_busy_ms +. job.i_exec_ms;
       if now <= config.x_window_ms then begin
         incr done_total;
-        Metrics.inc m_jobs_done;
         if job.i_slow then begin
           incr done_slow;
           (match config.x_rack_report with
@@ -313,7 +305,6 @@ let run config kinds =
       | None -> ()
       | Some slots ->
         incr nodes_lost;
-        Metrics.inc m_nodes_lost;
         (match (config.x_rack_report, slots) with
          | Some r, s :: _ ->
            r
@@ -350,7 +341,6 @@ let run config kinds =
     | None -> ()
     | Some (now, ev) ->
       incr events;
-      Metrics.inc m_events;
       (match ev with
        | Loss_draw -> loss_draw now
        | Complete (id, gen) -> complete now id gen);

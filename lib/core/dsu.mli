@@ -18,7 +18,6 @@
     functions simply get their new code pages. *)
 
 open Dapper_util
-open Dapper_isa
 open Dapper_machine
 open Dapper_binary
 
@@ -41,12 +40,3 @@ val changed_functions : old_bin:Binary.t -> new_bin:Binary.t -> string list
 val update :
   ?retries:int ->
   Process.t -> old_bin:Binary.t -> new_bin:Binary.t -> (Process.t, error) result
-
-(** Convenience: pick the right per-ISA binary pair out of two compiled
-    program versions. *)
-val update_compiled :
-  Process.t ->
-  old_version:Dapper_codegen.Link.compiled ->
-  new_version:Dapper_codegen.Link.compiled ->
-  arch:Arch.t ->
-  (Process.t, error) result

@@ -38,34 +38,6 @@ let recode_ns = Session.recode_ns
 let checkpoint_ms = Session.checkpoint_ms
 let restore_ms = Session.restore_ms
 
-module Metrics = Dapper_obs.Metrics
-
-(* Per-stage cost histograms accumulated by [Session.staged] in the
-   metrics registry across every session run since the last
-   [Metrics.reset]. Empty stages are omitted; an empty registry yields
-   just the header. *)
-let stage_histogram_table () =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "stage cost histograms (ms):\n";
-  List.iter
-    (fun stage ->
-      let sname = Dapper_error.stage_name stage in
-      match Metrics.find ("session.stage_ms." ^ sname) with
-      | Some (Metrics.Histogram h) when Metrics.histogram_count h > 0 ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-8s n=%-4d sum=%10.2f ms  " sname
-             (Metrics.histogram_count h) (Metrics.histogram_sum h));
-        Metrics.histogram_buckets h
-        |> List.filter (fun (_, c) -> c > 0)
-        |> List.map (fun (bound, c) ->
-               if bound = infinity then Printf.sprintf "le=inf:%d" c
-               else Printf.sprintf "le=%g:%d" bound c)
-        |> String.concat " " |> Buffer.add_string buf;
-        Buffer.add_char buf '\n'
-      | _ -> ())
-    Dapper_error.[ Pause; Dump; Recode; Transfer; Restore; Commit ];
-  Buffer.contents buf
-
 (* Process-global cache/index counters an experiment may want zeroed
    between runs so successive cost reports don't difference across each
    other's traffic. The per-rewrite [Rewrite.stats] counters are already
@@ -75,25 +47,19 @@ let reset_run_counters () =
   Stackmap_index.reset_counters ()
 
 (* Cost report with the index/plan-cache observability counters; new
-   surfaces only (the fig5/fig7 tables keep their exact seed format).
-   [stage_histograms] appends the registry-backed per-stage table;
-   [reset] zeroes the process-global counters after rendering. *)
-let cost_report ?(stage_histograms = false) ?(reset = false) (r : result) =
+   surfaces only (the fig5/fig7 tables keep their exact seed format). *)
+let cost_report (r : result) =
   let t = r.r_times in
   let rw = r.r_rewrite in
-  let line =
-    Printf.sprintf
-      "checkpoint %.2f ms, recode %.2f ms, scp %.2f ms, restore %.2f ms, total %.2f ms \
-       | plan cache %d hit%s / %d miss%s, %d index lookups, %d interval probes"
-      t.t_checkpoint_ms t.t_recode_ms t.t_scp_ms t.t_restore_ms (total_ms t)
-      rw.Rewrite.st_plan_hits
-      (if rw.Rewrite.st_plan_hits = 1 then "" else "s")
-      rw.Rewrite.st_plan_misses
-      (if rw.Rewrite.st_plan_misses = 1 then "" else "es")
-      rw.Rewrite.st_index_lookups rw.Rewrite.st_interval_lookups
-  in
-  if reset then reset_run_counters ();
-  if stage_histograms then line ^ "\n" ^ stage_histogram_table () else line
+  Printf.sprintf
+    "checkpoint %.2f ms, recode %.2f ms, scp %.2f ms, restore %.2f ms, total %.2f ms \
+     | plan cache %d hit%s / %d miss%s, %d index lookups, %d interval probes"
+    t.t_checkpoint_ms t.t_recode_ms t.t_scp_ms t.t_restore_ms (total_ms t)
+    rw.Rewrite.st_plan_hits
+    (if rw.Rewrite.st_plan_hits = 1 then "" else "s")
+    rw.Rewrite.st_plan_misses
+    (if rw.Rewrite.st_plan_misses = 1 then "" else "es")
+    rw.Rewrite.st_index_lookups rw.Rewrite.st_interval_lookups
 
 let migrate ?(lazy_pages = false) ?(link = Link.infiniband) ?recode_on
     ?(bytes_scale = 1.0) ?(budget = 50_000_000) ?(pipeline = false)

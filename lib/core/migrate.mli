@@ -78,16 +78,8 @@ val reset_run_counters : unit -> unit
 
 (** One-line migration cost report: phase times plus the index and
     rewrite-plan-cache counters ({!Rewrite.stats} observability
-    fields). With
-    [stage_histograms], appends {!stage_histogram_table}; with [reset],
-    calls {!reset_run_counters} after rendering. *)
-val cost_report : ?stage_histograms:bool -> ?reset:bool -> result -> string
-
-(** Plain-text table of the per-stage cost histograms
-    ([session.stage_ms.*] in the {!Dapper_obs.Metrics} registry),
-    accumulated over every session run since the last registry reset.
-    Stages never run are omitted. *)
-val stage_histogram_table : unit -> string
+    fields). *)
+val cost_report : result -> string
 
 (** [src_node]/[dst_node] parameterize the checkpoint and restore costs
     (and [recode_on] defaults to [src_node]). [pipeline]/[chunk_bytes]

@@ -5,22 +5,6 @@ open Dapper_criu
 
 let fail fmt = Dapper_error.failf (fun s -> Dapper_error.Recode_failed s) fmt
 
-(* Aggregate rewrite-work accounting; the per-run [stats] record stays
-   the per-session view (see test_stats_fresh_per_session). *)
-module Metrics = Dapper_obs.Metrics
-
-let m_runs = Metrics.counter "rewrite.runs"
-let m_threads = Metrics.counter "rewrite.threads"
-let m_frames = Metrics.counter "rewrite.frames"
-let m_values = Metrics.counter "rewrite.values"
-let m_ptrs = Metrics.counter "rewrite.ptrs_translated"
-let m_code_pages = Metrics.counter "rewrite.code_pages"
-let m_stack_bytes = Metrics.counter "rewrite.stack_bytes"
-let m_plan_hits = Metrics.counter "rewrite.plan_hits"
-let m_plan_misses = Metrics.counter "rewrite.plan_misses"
-let m_index_lookups = Metrics.counter "rewrite.index_lookups"
-let m_interval_lookups = Metrics.counter "rewrite.interval_lookups"
-
 type stats = {
   st_threads : int;
   st_frames : int;
@@ -440,17 +424,6 @@ let rewrite_exn (image : Images.image_set) ~(src : Binary.t) ~(dst : Binary.t) =
       st_index_lookups = Stackmap_index.lookup_count () - index_lookups0;
       st_interval_lookups = !interval_lookups }
   in
-  Metrics.inc m_runs;
-  Metrics.inc m_threads ~by:stats.st_threads;
-  Metrics.inc m_frames ~by:stats.st_frames;
-  Metrics.inc m_values ~by:stats.st_values;
-  Metrics.inc m_ptrs ~by:stats.st_ptrs_translated;
-  Metrics.inc m_code_pages ~by:stats.st_code_pages;
-  Metrics.inc m_stack_bytes ~by:stats.st_stack_bytes;
-  Metrics.inc m_plan_hits ~by:stats.st_plan_hits;
-  Metrics.inc m_plan_misses ~by:stats.st_plan_misses;
-  Metrics.inc m_index_lookups ~by:stats.st_index_lookups;
-  Metrics.inc m_interval_lookups ~by:stats.st_interval_lookups;
   (image', stats)
 
 let rewrite image ~src ~dst = Dapper_error.protect (fun () -> rewrite_exn image ~src ~dst)

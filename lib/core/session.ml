@@ -4,7 +4,6 @@ open Dapper_machine
 open Dapper_criu
 open Dapper_net
 module Trace = Dapper_obs.Trace
-module Metrics = Dapper_obs.Metrics
 
 type config = {
   cfg_src_node : Node.t;
@@ -169,18 +168,10 @@ let stage_log s = List.rev s.s_log
 let times s = times_of_log s.s_log
 let transfer_stats s = s.s_tx
 
-let m_commits = Metrics.counter "session.commits"
-let m_rollbacks = Metrics.counter "session.rollbacks"
-let m_stage_errors = Metrics.counter "session.stage_errors"
-
-let stage_ms_hist stage =
-  Metrics.histogram ("session.stage_ms." ^ Dapper_error.stage_name stage)
-
 let rollback s =
   match s.s_source.Process.exit_code with
   | Some _ -> ()  (* nothing left to resume *)
   | None ->
-    Metrics.inc m_rollbacks;
     Trace.leaf ~cat:"session" "rollback" ~dur_ns:0.0;
     Monitor.resume s.s_source
 
@@ -201,10 +192,8 @@ let guard s f =
     rollback s;
     err
 
-(* Wrap one staged transition in a trace span and feed the stage's
-   modeled cost into its metrics histogram. Metrics always record (the
-   aggregate accounting plane is cheap and replayable); the span only
-   exists while tracing. A span's duration is the stage's charged ms —
+(* Wrap one staged transition in a trace span; the span only exists
+   while tracing. A span's duration is the stage's charged ms —
    since the trace clock never moves backwards, a span containing
    charged sub-work (a lazy restore serving pages, a draining commit)
    ends at that sub-work's end if it exceeds the stage's own cost. *)
@@ -213,12 +202,9 @@ let staged stage f (s : _ t) =
       match f s with
       | Ok s' as ok ->
         let ms = match s'.s_log with r :: _ -> r.sr_ms | [] -> 0.0 in
-        Metrics.observe (stage_ms_hist stage) ms;
-        if stage = Dapper_error.Commit then Metrics.inc m_commits;
         Trace.set_dur cl (ms *. 1e6);
         ok
       | Error e ->
-        Metrics.inc m_stage_errors;
         Trace.add_arg cl "error" (Dapper_error.to_string e);
         Error e)
 
@@ -239,10 +225,6 @@ type precopy_stats = {
   pcs_resident : int list;
   pcs_residual : int list;
 }
-
-let m_precopy_rounds = Metrics.counter "session.precopy.rounds"
-let m_precopy_pages = Metrics.counter "session.precopy.pages"
-let m_precopy_round_ms = Metrics.histogram "session.precopy.round_ms"
 
 (* Pages worth shipping ahead of the blackout: everything the dump would
    carry except clean code pages, which the destination demand-loads from
@@ -287,9 +269,6 @@ let precopy cfg p ~advance ~max_rounds ~downtime_budget_ms =
       bytes_sent := !bytes_sent + bytes;
       total_ms := !total_ms +. ms;
       rounds := { pr_round = r; pr_pages = n; pr_bytes = bytes; pr_ms = ms } :: !rounds;
-      Metrics.inc m_precopy_rounds;
-      Metrics.inc m_precopy_pages ~by:n;
-      Metrics.observe m_precopy_round_ms ms;
       Trace.leaf ~cat:"session" "precopy-round" ~dur_ns:(ms *. 1e6)
         ~args:[ ("round", string_of_int r); ("pages", string_of_int n) ];
       Memory.clear_dirty mem;

@@ -1,9 +1,4 @@
 open Dapper_util
-module Metrics = Dapper_obs.Metrics
-
-let m_trips = Metrics.counter "health.breaker.trips"
-let m_probes = Metrics.counter "health.breaker.probes"
-let m_recloses = Metrics.counter "health.breaker.recloses"
 
 type state = Closed | Open | Half_open
 
@@ -60,8 +55,7 @@ let trip t ~now_ms =
   t.b_consec_failures <- 0;
   t.b_probe_wins <- 0;
   t.b_probe_at <- now_ms +. (t.c.b_open_ms *. spread);
-  t.b_trips <- t.b_trips + 1;
-  Metrics.inc m_trips
+  t.b_trips <- t.b_trips + 1
 
 (* A closed or half-open breaker serves; an open one refuses until its
    cooldown elapses, at which point the first [allow] is the probe that
@@ -74,7 +68,6 @@ let allow t ~now_ms =
     if now_ms >= t.b_probe_at then begin
       t.b_state <- Half_open;
       t.b_probe_wins <- 0;
-      Metrics.inc m_probes;
       true
     end
     else false
@@ -88,8 +81,7 @@ let record_success t ~now_ms =
     if t.b_probe_wins >= t.c.b_probe_successes then begin
       t.b_state <- Closed;
       t.b_consec_failures <- 0;
-      t.b_probe_wins <- 0;
-      Metrics.inc m_recloses
+      t.b_probe_wins <- 0
     end
   | Open -> ()  (* success reported for work admitted before the trip *)
 

@@ -7,11 +7,8 @@
     charged as [Dapper_error.Deadline_exceeded] — instead of being
     discovered over budget after the blackout already happened.
 
-    History arrives two ways: {!observe} after every completed stage
-    (the guard feeds it), and {!seed_from_metrics}, which warms a fresh
-    store from the fleet-wide [session.stage_ms.*] histograms the
-    session pipeline already maintains. The transfer stage is the
-    exception: its cost is projected analytically from the image size
+    History arrives through {!observe} after every completed stage
+    (the guard feeds it). The transfer stage is the exception: its cost is projected analytically from the image size
     and the transport at hand (see {!Guard}), because a degraded or
     flaky transport shows up there immediately — before any history
     exists. *)
@@ -28,10 +25,6 @@ val observe : t -> Dapper_util.Dapper_error.stage -> float -> unit
 (** Projected cost of [stage], or [None] with no history (the guard
     runs un-projected stages rather than guessing). *)
 val projected : t -> Dapper_util.Dapper_error.stage -> float option
-
-(** Warm every stage that has no history yet from the mean of its
-    [session.stage_ms.<stage>] metrics histogram, when present. *)
-val seed_from_metrics : t -> unit
 
 (** [budget_ms ~ops_per_ns ~pause_budget ()] converts a session's
     instruction-denominated pause budget into the blackout time it

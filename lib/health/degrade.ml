@@ -1,5 +1,3 @@
-module Metrics = Dapper_obs.Metrics
-
 type rung = Full | Hybrid_only | Precopy_only | Postponed
 
 let rung_name = function
@@ -8,23 +6,11 @@ let rung_name = function
   | Precopy_only -> "precopy"
   | Postponed -> "postponed"
 
-let all_rungs = [ Full; Hybrid_only; Precopy_only; Postponed ]
-
 let next = function
   | Full -> Some Hybrid_only
   | Hybrid_only -> Some Precopy_only
   | Precopy_only -> Some Postponed
   | Postponed -> None
-
-let m_hybrid = Metrics.counter "health.degrade.hybrid"
-let m_precopy = Metrics.counter "health.degrade.precopy"
-let m_postponed = Metrics.counter "health.degrade.postponed"
-
-let record = function
-  | Full -> ()
-  | Hybrid_only -> Metrics.inc m_hybrid
-  | Precopy_only -> Metrics.inc m_precopy
-  | Postponed -> Metrics.inc m_postponed
 
 (* The mechanism each rung is allowed: Full lets the budget picker
    choose freely; the hybrid rung pins the minimum-blackout mechanism;

@@ -1,12 +1,7 @@
 open Dapper_net
 open Dapper_criu
 module Session = Dapper.Session
-module Metrics = Dapper_obs.Metrics
 module Derr = Dapper_util.Dapper_error
-
-let m_cancels = Metrics.counter "health.deadline.cancels"
-let m_commits = Metrics.counter "health.guard.commits"
-let m_rollbacks = Metrics.counter "health.guard.rollbacks"
 
 type attempt = {
   ga_outcome : (Session.outcome, Derr.t) result;
@@ -45,7 +40,6 @@ let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
   let check stage projected s =
     match projected with
     | Some ms when spent s +. ms > budget ->
-      Metrics.inc m_cancels;
       cancelled := Some stage;
       Session.rollback s;
       Error (Derr.Deadline_exceeded (stage, ms))
@@ -116,9 +110,6 @@ let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
        blackout := !blackout +. wire_ms;
        Error e)
   in
-  (match outcome with
-   | Ok _ -> Metrics.inc m_commits
-   | Error _ -> Metrics.inc m_rollbacks);
   { ga_outcome = outcome; ga_blackout_ms = !blackout;
     ga_cancelled = !cancelled; ga_budget_ms = budget;
     ga_hot_pages = !hot_pages; ga_lazy_left = !lazy_left }

@@ -1,8 +1,3 @@
-module Metrics = Dapper_obs.Metrics
-
-let m_quarantines = Metrics.counter "health.quarantine.entered"
-let m_releases = Metrics.counter "health.quarantine.released"
-
 type cfg = {
   q_alpha : float;
   q_threshold : float;
@@ -54,8 +49,7 @@ let release_if_healed t e ~now_ms =
   | Some since when now_ms -. since >= t.c.q_heal_ms ->
     e.e_quarantined_at <- None;
     e.e_ewma <- t.c.q_threshold /. 2.0;
-    e.e_reports <- 0;
-    Metrics.inc m_releases
+    e.e_reports <- 0
   | _ -> ()
 
 let report t ~key ~now_ms ~ok =
@@ -70,8 +64,7 @@ let report t ~key ~now_ms ~ok =
     && e.e_ewma >= t.c.q_threshold
   then begin
     e.e_quarantined_at <- Some now_ms;
-    t.q_entered <- t.q_entered + 1;
-    Metrics.inc m_quarantines
+    t.q_entered <- t.q_entered + 1
   end
 
 let admits t ~key ~now_ms =

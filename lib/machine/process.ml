@@ -363,19 +363,6 @@ let snapshot_to_string s =
 let peek_data t addr = Memory.read_u64 t.mem addr
 let poke_data t addr v = store_u64 t addr v
 
-let stop_thread t tid =
-  let th = thread t tid in
-  match th.status with
-  | Exited _ -> ()
-  | Runnable | Blocked_join _ | Blocked_lock _ | Trapped | Stopped ->
-    th.status <- Stopped
-
-let resume_thread t tid =
-  let th = thread t tid in
-  match th.status with
-  | Trapped | Stopped -> th.status <- Runnable
-  | Runnable | Blocked_join _ | Blocked_lock _ | Exited _ -> ()
-
 (* ----- interpreter ----- *)
 
 (* Decode the instruction at [pc] from memory, caching it when [pc] is in
@@ -480,6 +467,14 @@ let exec_syscall t (th : thread) num =
     let delta = Int64.to_int (arg 0) in
     let old = t.brk in
     if delta > 0 then begin
+      (* the heap may grow up to the lowest thread stack, no further;
+         refuse before mapping anything, since pages are mapped eagerly *)
+      let limit = Layout.stack_limit_of_thread (Layout.max_threads - 1) in
+      if delta > Int64.to_int (limit -% old) then
+        raise
+          (Exec_error
+             (Printf.sprintf "sbrk: break 0x%Lx + %d crosses the stack region at 0x%Lx"
+                old delta limit));
       map_zero_range t.mem old delta;
       t.brk <- old +% Int64.of_int delta
     end;

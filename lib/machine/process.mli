@@ -158,5 +158,3 @@ val peek_data : t -> int64 -> int64
     .text drops the decoded instructions it may have changed, so the
     next execution there decodes the new bytes. *)
 val poke_data : t -> int64 -> int64 -> unit
-val stop_thread : t -> int -> unit
-val resume_thread : t -> int -> unit

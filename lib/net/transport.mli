@@ -187,7 +187,7 @@ val pipeline_schedule :
     behavior is unchanged), but the returned nanoseconds are
     [pp_exposed_ns] plus any fault/retry surcharge (delays and
     retransmissions hit a wire whose producer already finished, so they
-    are never hidden). Also returns the schedule for span/metric
+    are never hidden). Also returns the schedule for span
     emission. *)
 val transmit_pipelined :
   t ->

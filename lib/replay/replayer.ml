@@ -5,7 +5,6 @@ module Monitor = Dapper.Monitor
 module Unwind = Dapper.Unwind
 module Dump = Dapper_criu.Dump
 module Trace = Dapper_obs.Trace
-module Metrics = Dapper_obs.Metrics
 module Bytebuf = Dapper_util.Bytebuf
 module Derr = Dapper_util.Dapper_error
 
@@ -17,12 +16,6 @@ type divergence = {
   dv_frames : string list;
   dv_pages : (string * int) list;
 }
-
-let m_records = Metrics.counter "replay.records"
-let m_replays = Metrics.counter "replay.replays"
-let m_entries = Metrics.counter "replay.entries"
-let m_substituted = Metrics.counter "replay.substituted"
-let m_divergences = Metrics.counter "replay.divergences"
 
 let divergence_to_string d =
   Printf.sprintf "first divergence at eqpoint %d%s [%s]: %s" d.dv_point
@@ -77,7 +70,6 @@ let frames_at (log : Log.t) k =
 let diverge ?tid ?(frames = []) ?(pages = []) ~point ~kind fmt =
   Printf.ksprintf
     (fun what ->
-      Metrics.inc m_divergences;
       raise
         (Diverge
            { dv_point = point; dv_tid = tid; dv_kind = kind; dv_what = what;
@@ -221,7 +213,6 @@ let cursor_syscall c ~tid ~sys v =
     c.cur <- rest;
     if String.equal sys "clock" then begin
       c.substituted <- c.substituted + 1;
-      Metrics.inc m_substituted;
       sc_ret
     end
     else if Int64.equal sc_ret v then begin
@@ -322,7 +313,6 @@ let record ?(budget = default_budget) (bin : Binary.t) =
   Trace.with_span ~cat:"replay" "record"
     ~args:[ ("app", bin.Binary.bin_app); ("arch", Arch.name bin.Binary.bin_arch) ]
     (fun cl ->
-      Metrics.inc m_records;
       let p = Process.load bin in
       let entries = ref [] in
       let push e = entries := e :: !entries in
@@ -359,7 +349,6 @@ let record ?(budget = default_budget) (bin : Binary.t) =
               lg_stdout = Process.stdout_contents p;
               lg_final = snapshot_point ~stacks:false ~index:k bin p }
           in
-          Metrics.inc ~by:(List.length log.Log.lg_entries) m_entries;
           Trace.add_arg cl "points" (string_of_int k);
           Trace.add_arg cl "entries"
             (string_of_int (List.length log.Log.lg_entries));
@@ -394,7 +383,6 @@ let replay ?(budget = default_budget) ~(log : Log.t) (bin : Binary.t) =
       [ ("app", bin.Binary.bin_app); ("arch", Arch.name bin.Binary.bin_arch);
         ("mode", if strict then "same-isa" else "cross-isa") ]
     (fun cl ->
-      Metrics.inc m_replays;
       let p = Process.load bin in
       let c = make_cursor ~strict log in
       (* Re-record while replaying: a faithful same-ISA replay must
@@ -425,7 +413,6 @@ let replay ?(budget = default_budget) ~(log : Log.t) (bin : Binary.t) =
         Trace.add_arg cl "divergence" d.dv_what;
         Error d
       | Error e ->
-        Metrics.inc m_divergences;
         Error
           { dv_point = c.next_point; dv_tid = None; dv_kind = "pause";
             dv_what = Printf.sprintf "replay walk failed: %s" (Derr.to_string e);

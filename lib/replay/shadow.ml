@@ -1,7 +1,6 @@
 open Dapper_isa
 open Dapper_machine
 module Trace = Dapper_obs.Trace
-module Metrics = Dapper_obs.Metrics
 module Derr = Dapper_util.Dapper_error
 open Replayer.Internal
 
@@ -16,8 +15,6 @@ type report = {
   sh_substituted : int;
   sh_verdict : verdict;
 }
-
-let m_shadows = Metrics.counter "replay.shadows"
 
 (* Position the cursor just past anchor [from_point]: everything before
    it belongs to the recorded prefix the migrated process inherited as
@@ -41,7 +38,6 @@ let check ?(budget = default_budget) ~(log : Log.t) ~from_point (q : Process.t) 
         ("from", string_of_int from_point);
         ("mode", if strict then "same-isa" else "cross-isa") ]
     (fun cl ->
-      Metrics.inc m_shadows;
       let c = make_cursor ~strict log in
       let compared = ref 0 in
       let run () =

@@ -48,10 +48,8 @@ val downtime_ms : estimate -> mechanism -> float
 
 (** The first mechanism in [Vanilla; Precopy; Hybrid; Postcopy] order
     whose {!downtime_ms} is within [budget_ms]; when none fits, the one
-    with the smallest projected downtime (earliest in order on ties) —
-    and the ["traffic.budget.infeasible"] metrics counter is bumped, so
-    the silent least-bad fallback is observable fleet-wide. Raises
-    [Invalid_argument] on a negative budget. *)
+    with the smallest projected downtime (earliest in order on ties).
+    Raises [Invalid_argument] on a negative budget. *)
 val choose : budget_ms:float -> estimate -> mechanism
 
 (** Like {!choose}, also reporting whether the pick actually fits the

@@ -5,7 +5,6 @@ open Dapper_criu
 open Dapper_net
 module Session = Dapper.Session
 module Trace = Dapper_obs.Trace
-module Metrics = Dapper_obs.Metrics
 
 type cfg = {
   lg_seed : int64;
@@ -43,11 +42,6 @@ type stats = {
   ls_fingerprint : int64;
   ls_outcome : Session.outcome;
 }
-
-let m_requests = Metrics.counter "traffic.requests"
-let m_stalled = Metrics.counter "traffic.stalled"
-let m_faults = Metrics.counter "traffic.page_faults"
-let m_request_ms = Metrics.histogram "traffic.request_ms"
 
 (* Request mix over the Redis-style op classes (GET/SET/INCR at
    60/30/10%), with per-class cost multipliers chosen to preserve the
@@ -193,7 +187,6 @@ let run c scfg p mech =
           in
           decr remaining;
           incr faulted_n;
-          Metrics.inc m_faults;
           stall +. wait
         end
         else 0.0
@@ -204,7 +197,6 @@ let run c scfg p mech =
     lanes.(!lane) <- finish;
     let lat = finish -. arrive in
     Sketch.add all lat;
-    Metrics.observe m_request_ms lat;
     (* "during migration" = arrived inside the migration window (so the
        blackout, or the backlog it left, is in this request's path) or
        charged a post-copy fault. Keyed on the arrival, not the start:
@@ -213,12 +205,10 @@ let run c scfg p mech =
        exactly what they are waiting on. *)
     if (arrive >= mig_start && arrive < resume) || fault_ms > 0.0 then begin
       incr stalled_n;
-      Metrics.inc m_stalled;
       Sketch.add during lat
     end;
     fp := Bytebuf.fnv64_mix !fp (Int64.bits_of_float lat)
   done;
-  Metrics.inc m_requests ~by:c.lg_requests;
   Ok
     { ls_mechanism = mech;
       ls_requests = c.lg_requests;

@@ -381,6 +381,42 @@ let test_write_bad_length () =
         (mentions "segfault" (reason arch [ i 1; addr "g"; i (1 lsl 40) ])))
     [ Arch.X86_64; Arch.Aarch64 ]
 
+(* A guest [sbrk] whose break would cross the lowest thread stack is
+   contained: the guest crashes with an [sbrk:] reason and not one page
+   is mapped for it. Code pages are faulted in up front and the guest is
+   stepped one instruction at a time, so the mapped set is pinned just
+   before the syscall. *)
+let test_sbrk_past_stacks () =
+  let limit = Layout.stack_limit_of_thread (Layout.max_threads - 1) in
+  let room = Int64.to_int (Int64.sub limit Layout.heap_base) in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun delta ->
+          let what = Printf.sprintf "%s: sbrk(%d)" (Arch.name arch) delta in
+          let c = compile_simple (fun b -> ret b (call "sbrk" [ i delta ])) in
+          let bin = Link.binary_for c arch in
+          let p = Process.load bin in
+          let text = Option.get (Binary.find_section bin ".text") in
+          ignore
+            (Memory.read_bytes p.Process.mem text.Binary.sec_addr
+               (String.length text.Binary.sec_data));
+          let rec step n =
+            if n = 0 then Alcotest.failf "%s: never crashed" what;
+            let before = Memory.mapped_pages p.Process.mem in
+            match Process.run p ~max_instrs:1 with
+            | Process.Progress -> step (n - 1)
+            | Process.Crashed cr ->
+              check Alcotest.bool (what ^ ": reason starts with sbrk:") true
+                (String.starts_with ~prefix:"sbrk:" cr.cr_reason);
+              check Alcotest.(list int) (what ^ ": nothing mapped") before
+                (Memory.mapped_pages p.Process.mem)
+            | _ -> Alcotest.failf "%s: not a contained crash" what
+          in
+          step 10_000)
+        [ room + 1; 4_000_000_000_000 ])
+    [ Arch.X86_64; Arch.Aarch64 ]
+
 (* Golden digests of [observe] / [observe_pages] for nginx after 300k
    instructions on each ISA: they pin the fold order, the page-number
    prefix and the flag-word masking, so the digests cannot drift. *)
@@ -587,6 +623,8 @@ let suites =
         Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
         Alcotest.test_case "write with a bad length is contained" `Quick
           test_write_bad_length;
+        Alcotest.test_case "sbrk past the stacks is contained" `Quick
+          test_sbrk_past_stacks;
         Alcotest.test_case "observe digests pinned" `Quick test_observe_golden;
         Alcotest.test_case "run to completion pinned" `Quick test_run_golden;
         Alcotest.test_case "crash pc and counts pinned" `Quick test_crash_golden;

@@ -1,14 +1,11 @@
 (* Observability plane: trace well-formedness on the simulated clock,
-   the metrics registry, agreement between the new accounting plane and
-   the legacy per-run stats records, and replay determinism. *)
+   the pinned migration cost report, and replay determinism. *)
 
 open Dapper_machine
 open Dapper
 module Trace = Dapper_obs.Trace
-module Metrics = Dapper_obs.Metrics
 module Link = Dapper_codegen.Link
 module Node = Dapper_net.Node
-module Transport = Dapper_net.Transport
 module Oracle = Dapper_verify.Oracle
 module Corpus = Dapper_verify.Corpus
 
@@ -160,135 +157,29 @@ let test_traced_migration_well_formed () =
    | _ -> Alcotest.fail "chrome export is not an object");
   Trace.reset ()
 
-(* ----- the metrics registry ----- *)
+(* ----- the cost report ----- *)
 
-let test_metrics_registry () =
-  let c = Metrics.counter "obs.test.counter" in
-  Metrics.inc c;
-  Metrics.inc c ~by:4;
-  check Alcotest.int "counter accumulates" 5 (Metrics.counter_value c);
-  check Alcotest.bool "re-request returns the same metric" true
-    (Metrics.counter "obs.test.counter" == c);
-  check Alcotest.bool "re-registering as another type rejected" true
-    (match Metrics.gauge "obs.test.counter" with
-     | exception Invalid_argument _ -> true
-     | _ -> false);
-  let g = Metrics.gauge "obs.test.gauge" in
-  Metrics.set g 2.0;
-  Metrics.add g 1.5;
-  check (Alcotest.float 0.0) "gauge set + add" 3.5 (Metrics.gauge_value g);
-  let h = Metrics.histogram ~bounds:[| 1.0; 10.0 |] "obs.test.hist" in
-  List.iter (Metrics.observe h) [ 0.5; 5.0; 50.0; 0.2 ];
-  check Alcotest.int "histogram count" 4 (Metrics.histogram_count h);
-  check (Alcotest.float 1e-9) "histogram sum" 55.7 (Metrics.histogram_sum h);
-  (match Metrics.histogram_buckets h with
-   | [ (b1, c1); (b2, c2); (b3, c3) ] ->
-     check (Alcotest.float 0.0) "first bound" 1.0 b1;
-     check Alcotest.int "le 1" 2 c1;
-     check (Alcotest.float 0.0) "second bound" 10.0 b2;
-     check Alcotest.int "le 10" 1 c2;
-     check Alcotest.bool "overflow bucket unbounded" true (b3 = infinity);
-     check Alcotest.int "overflow" 1 c3
-   | _ -> Alcotest.fail "expected 3 buckets");
-  check Alcotest.bool "descending bounds rejected" true
-    (match Metrics.histogram ~bounds:[| 2.0; 1.0 |] "obs.test.bad" with
-     | exception Invalid_argument _ -> true
-     | _ -> false);
-  Metrics.reset ();
-  check Alcotest.int "reset zeroes counters" 0 (Metrics.counter_value c);
-  check Alcotest.int "reset zeroes histograms" 0 (Metrics.histogram_count h);
-  check Alcotest.bool "reset keeps registrations" true
-    (List.mem "obs.test.counter" (Metrics.names ()))
-
-let find_counter name =
-  match Metrics.find name with
-  | Some (Metrics.Counter c) -> Metrics.counter_value c
-  | _ -> Alcotest.failf "missing counter %s" name
-
-let find_histogram name =
-  match Metrics.find name with
-  | Some (Metrics.Histogram h) -> h
-  | _ -> Alcotest.failf "missing histogram %s" name
-
-(* The registry is the aggregate view over the same events the legacy
-   per-run records tally: after a registry reset, one migration per
-   corpus program must leave registry totals equal to the sum of the
-   per-run stats. *)
-let test_metrics_match_legacy_stats () =
-  Metrics.reset ();
-  let frames = ref 0 and values = ref 0 and ptrs = ref 0 in
-  let hits = ref 0 and misses = ref 0 in
-  let index = ref 0 and interval = ref 0 in
-  let attempts = ref 0 in
-  let checkpoint = ref 0.0 and recode = ref 0.0 in
-  let scp = ref 0.0 and restore = ref 0.0 in
-  let migrated = ref 0 in
-  List.iter
-    (fun (name, c) ->
-      let p = Process.load c.Link.cp_x86 in
-      if not (Oracle.advance_to_point p ~budget:30_000_000 0) then
-        Alcotest.failf "%s exited before its first equivalence point" name;
-      match
-        Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
-          ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
-      with
-      | Error e -> Alcotest.fail (Migrate.error_to_string e)
-      | Ok r ->
-        incr migrated;
-        let rw = r.Migrate.r_rewrite in
-        frames := !frames + rw.Rewrite.st_frames;
-        values := !values + rw.Rewrite.st_values;
-        ptrs := !ptrs + rw.Rewrite.st_ptrs_translated;
-        hits := !hits + rw.Rewrite.st_plan_hits;
-        misses := !misses + rw.Rewrite.st_plan_misses;
-        index := !index + rw.Rewrite.st_index_lookups;
-        interval := !interval + rw.Rewrite.st_interval_lookups;
-        attempts := !attempts + r.Migrate.r_transfer.Transport.tx_attempts;
-        let t = r.Migrate.r_times in
-        checkpoint := !checkpoint +. t.Migrate.t_checkpoint_ms;
-        recode := !recode +. t.Migrate.t_recode_ms;
-        scp := !scp +. t.Migrate.t_scp_ms;
-        restore := !restore +. t.Migrate.t_restore_ms)
-    (Corpus.all ());
-  check Alcotest.bool "corpus migrated" true (!migrated > 0);
-  check Alcotest.int "rewrite.runs" !migrated (find_counter "rewrite.runs");
-  check Alcotest.int "rewrite.frames" !frames (find_counter "rewrite.frames");
-  check Alcotest.int "rewrite.values" !values (find_counter "rewrite.values");
-  check Alcotest.int "rewrite.ptrs_translated" !ptrs
-    (find_counter "rewrite.ptrs_translated");
-  check Alcotest.int "rewrite.plan_hits" !hits (find_counter "rewrite.plan_hits");
-  check Alcotest.int "rewrite.plan_misses" !misses
-    (find_counter "rewrite.plan_misses");
-  check Alcotest.int "rewrite.index_lookups" !index
-    (find_counter "rewrite.index_lookups");
-  check Alcotest.int "rewrite.interval_lookups" !interval
-    (find_counter "rewrite.interval_lookups");
-  check Alcotest.int "transport.tx.attempts" !attempts
-    (find_counter "transport.tx.attempts");
-  check Alcotest.int "session.commits" !migrated (find_counter "session.commits");
-  check Alcotest.int "session.rollbacks" 0 (find_counter "session.rollbacks");
-  let stage s = Metrics.histogram_sum (find_histogram ("session.stage_ms." ^ s)) in
-  let close what want got =
-    check Alcotest.bool
-      (Printf.sprintf "%s: %.6f ~ %.6f" what want got)
-      true
-      (abs_float (want -. got) < 1e-9)
-  in
-  close "stage histograms: checkpoint" !checkpoint (stage "pause" +. stage "dump");
-  close "stage histograms: recode" !recode (stage "recode");
-  close "stage histograms: scp" !scp (stage "transfer");
-  close "stage histograms: restore" !restore (stage "restore" +. stage "commit");
-  check Alcotest.int "one observation per stage per migration" !migrated
-    (Metrics.histogram_count (find_histogram "session.stage_ms.commit"));
-  (* the cost_report histogram table reflects the same registry *)
-  let table = Migrate.stage_histogram_table () in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "histogram table lists the commit stage" true
-    (contains table "commit")
+(* The one-line cost report is the user-visible view of [Rewrite.stats]
+   and the phase times; pin it for one corpus program migrated x86->arm
+   at its first equivalence point. The plan cache is cleared first so
+   the hit/miss counts do not depend on which tests ran before. *)
+let test_cost_report_pinned () =
+  let c = Option.get (Corpus.find "mini-quickstart") in
+  let p = Process.load c.Link.cp_x86 in
+  if not (Oracle.advance_to_point p ~budget:30_000_000 0) then
+    Alcotest.fail "mini-quickstart exited before its first equivalence point";
+  Plan_cache.clear ();
+  match
+    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
+      ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
+  with
+  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  | Ok r ->
+    check Alcotest.string "cost report"
+      "checkpoint 3.00 ms, recode 20.97 ms, scp 0.07 ms, restore 3.00 ms, \
+       total 27.04 ms | plan cache 0 hits / 1 miss, 4 index lookups, \
+       0 interval probes"
+      (Migrate.cost_report r)
 
 (* ----- replay determinism ----- *)
 
@@ -323,8 +214,7 @@ let suites =
           test_with_span_closes_on_raise;
         Alcotest.test_case "traced migration well-formed" `Quick
           test_traced_migration_well_formed;
-        Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
-        Alcotest.test_case "metrics match legacy stats (corpus)" `Quick
-          test_metrics_match_legacy_stats;
+        Alcotest.test_case "cost report pinned (mini-quickstart)" `Quick
+          test_cost_report_pinned;
         Alcotest.test_case "chaos replay: byte-identical traces" `Quick
           test_chaos_replay_trace_identical ] ) ]
