@@ -190,15 +190,13 @@ let run_trace file =
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:400_000);
   Trace.start ();
-  match
-    Migrate.migrate ~src_node:Dapper_net.Node.xeon ~dst_node:Dapper_net.Node.rpi
-      ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
-  with
-  | Error e -> failwith ("traced migration failed: " ^ Migrate.error_to_string e)
+  let cfg = Session.default_config ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm in
+  match Result.map Session.finish (Session.run cfg p) with
+  | Error e -> failwith ("traced migration failed: " ^ Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     Trace.stop ();
     Trace.export ~file;
-    print_endline (Migrate.cost_report r);
+    print_endline (Session.cost_report r);
     print_string (Trace.flame_summary ());
     Printf.printf "wrote %s (%d trace events)\n" file
       (List.length (Trace.events ()))

@@ -6,7 +6,6 @@
    Run with: dune exec examples/cross_isa_migration.exe *)
 
 open Dapper_machine
-open Dapper_net
 open Dapper_workloads
 open Dapper
 module Link = Dapper_codegen.Link
@@ -26,16 +25,17 @@ let () =
   ignore (Process.run p ~max_instrs:4_000_000);
   Printf.printf "npb-cg.A on xeon/x86-64: %Ld instructions in, migrating...\n"
     p.Process.total_instrs;
-  match
-    Migrate.migrate ~bytes_scale:1500.0 ~src_node:Node.xeon ~dst_node:Node.rpi
-      ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
-  with
-  | Error e -> failwith (Migrate.error_to_string e)
+  let cfg =
+    { (Session.default_config ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm) with
+      cfg_bytes_scale = 1500.0 }
+  in
+  match Result.map Session.finish (Session.run cfg p) with
+  | Error e -> failwith (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
-    let t = r.Migrate.r_times in
+    let t = r.r_times in
     Printf.printf
       "  checkpoint %.1f ms | recode %.1f ms | scp %.1f ms | restore %.1f ms | total %.1f ms\n"
-      t.t_checkpoint_ms t.t_recode_ms t.t_scp_ms t.t_restore_ms (Migrate.total_ms t);
+      t.t_checkpoint_ms t.t_recode_ms t.t_scp_ms t.t_restore_ms (Session.total_ms t);
     Printf.printf "  image: %d KiB; %d frames rewritten, %d live values, %d pointers fixed\n"
       (r.r_image_bytes / 1024) r.r_rewrite.Rewrite.st_frames r.r_rewrite.Rewrite.st_values
       r.r_rewrite.Rewrite.st_ptrs_translated;

@@ -20,24 +20,28 @@ let () =
     (fun lazy_pages ->
       let q = Process.load c.Link.cp_x86 in
       ignore (Process.run q ~max_instrs:6_000_000);
-      match
-        Migrate.migrate ~lazy_pages ~bytes_scale:1500.0 ~src_node:Node.xeon
-          ~dst_node:Node.rpi ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm q
-      with
-      | Error e -> failwith (Migrate.error_to_string e)
+      let cfg =
+        { (Session.default_config ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm) with
+          cfg_transport =
+            (if lazy_pages then Transport.page_server Dapper_net.Link.infiniband
+             else Transport.scp Dapper_net.Link.infiniband);
+          cfg_bytes_scale = 1500.0 }
+      in
+      match Result.map Session.finish (Session.run cfg q) with
+      | Error e -> failwith (Dapper_util.Dapper_error.to_string e)
       | Ok r ->
-        (match Process.run_to_completion r.Migrate.r_process ~fuel:100_000_000 with
+        (match Process.run_to_completion r.r_process ~fuel:100_000_000 with
          | Process.Exited_run _ -> ()
          | _ -> failwith "migrated run failed");
-        let t = r.Migrate.r_times in
+        let t = r.r_times in
         let mode = if lazy_pages then "lazy   " else "vanilla" in
-        (match r.Migrate.r_page_server with
+        (match r.r_page_server with
          | Some s ->
            Printf.printf
              "%s: stop-and-copy %.1f ms (image %d KiB); %d pages pulled on demand afterwards (%.1f ms hidden in execution)\n"
-             mode (Migrate.total_ms t) (r.r_image_bytes / 1024) s.Migrate.srv_pages
-             (s.Migrate.srv_ns /. 1e6)
+             mode (Session.total_ms t) (r.r_image_bytes / 1024) s.srv_pages
+             (s.srv_ns /. 1e6)
          | None ->
            Printf.printf "%s: stop-and-copy %.1f ms (image %d KiB)\n" mode
-             (Migrate.total_ms t) (r.r_image_bytes / 1024)))
+             (Session.total_ms t) (r.r_image_bytes / 1024)))
     [ false; true ]

@@ -5,7 +5,6 @@
    Run with: dune exec examples/source_program.exe *)
 
 open Dapper_machine
-open Dapper_net
 open Dapper_clite
 open Dapper
 module Link = Dapper_codegen.Link
@@ -44,11 +43,9 @@ let () =
   ignore (Process.run p ~max_instrs:1_500_000);
   Printf.printf "running on x86-64 (%Ld instructions); migrating to aarch64...\n"
     p.Process.total_instrs;
-  match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi ~src_bin:compiled.cp_x86
-      ~dst_bin:compiled.cp_arm p
-  with
-  | Error e -> failwith (Migrate.error_to_string e)
+  let cfg = Session.default_config ~src_bin:compiled.cp_x86 ~dst_bin:compiled.cp_arm in
+  match Result.map Session.finish (Session.run cfg p) with
+  | Error e -> failwith (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     (match Process.run_to_completion r.r_process ~fuel:50_000_000 with
      | Process.Exited_run _ ->

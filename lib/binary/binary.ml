@@ -100,8 +100,6 @@ let serialize b =
   Bytebuf.add_i64 buf b.bin_anchors.a_flag;
   Bytebuf.contents buf
 
-let size_bytes b = String.length (serialize b)
-
 type reader = { src : string; mutable pos : int }
 
 let ru8 r = let v = Bytebuf.get_u8 r.src r.pos in r.pos <- r.pos + 1; v

@@ -44,9 +44,6 @@ type t = {
   bin_anchors : anchors;
 }
 
-(** Total serialized size in bytes — the unit the scp cost model charges. *)
-val size_bytes : t -> int
-
 (** Size of the executable [.text] section (drives Fig. 9's shuffle cost). *)
 val text_size : t -> int
 

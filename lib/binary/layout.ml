@@ -9,7 +9,7 @@ let heap_base = 0x0080_0000L
 let stack_top = 0x7F00_0000L
 let stack_region = 256 * 1024
 let max_threads = 64
-let tls_block_region = 4096
+let tls_block_region = 4096 (* one TLS block per thread *)
 
 let stack_base_of_thread i =
   Int64.sub stack_top (Int64.of_int (i * stack_region))

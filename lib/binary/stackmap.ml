@@ -183,15 +183,3 @@ let eqpoint_by_resume fm a =
   List.find_opt (fun ep -> Int64.equal ep.ep_resume a) fm.fm_eqpoints
 
 let eqpoint_by_id fm id = List.find_opt (fun ep -> ep.ep_id = id) fm.fm_eqpoints
-
-let pp_loc ppf = function
-  | Reg r -> Format.fprintf ppf "reg %d" r
-  | Frame o -> Format.fprintf ppf "frame %d" o
-
-let pp_live_value ppf lv =
-  let key =
-    match lv.lv_key with
-    | Slot s -> Printf.sprintf "slot#%d" s
-    | Temp t -> Printf.sprintf "temp#%d" t
-  in
-  Format.fprintf ppf "%s(%s) @ %a" lv.lv_name key pp_loc lv.lv_loc

@@ -68,6 +68,3 @@ val eqpoint_by_resume : func_map -> int64 -> eqpoint option
 
 (** Equivalence point with the given id. *)
 val eqpoint_by_id : func_map -> int -> eqpoint option
-
-val pp_loc : Format.formatter -> loc -> unit
-val pp_live_value : Format.formatter -> live_value -> unit

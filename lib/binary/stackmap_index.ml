@@ -14,17 +14,11 @@ type t = {
   ix_by_addr : func_entry array; (* sorted by fm_addr *)
 }
 
-(* ----- observability counters (reported in the migration cost report) ----- *)
+(* Monotone lookup counter; Rewrite differences it around each rewrite. *)
 
 let lookups = ref 0
-let builds = ref 0
 
 let lookup_count () = !lookups
-let build_count () = !builds
-
-let reset_counters () =
-  lookups := 0;
-  builds := 0
 
 (* All lookups match the first-hit semantics of the linear scans they
    replace, so duplicate names/addresses (which well-formed stack maps
@@ -57,7 +51,6 @@ let entry_of_fm (fm : Stackmap.func_map) =
     fe_live; fe_live_named }
 
 let build maps =
-  incr builds;
   let entries = List.map entry_of_fm maps in
   let ix_by_name = Hashtbl.create (List.length entries * 2) in
   List.iter (fun fe -> add_first ix_by_name fe.fe_fm.Stackmap.fm_name fe) entries;
@@ -91,18 +84,25 @@ let cache : cache_entry list ref = ref []
 let cache_capacity = 32
 
 let get maps =
-  match List.find_opt (fun e -> e.ce_maps == maps) !cache with
-  | Some e -> e.ce_ix
-  | None ->
-    let key = Stackmap.serialize maps in
-    let ix =
-      match List.find_opt (fun e -> String.equal e.ce_key key) !cache with
-      | Some e -> e.ce_ix
-      | None -> build maps
+  match !cache with
+  | e :: _ when e.ce_maps == maps -> e.ce_ix
+  | entries ->
+    let e =
+      match List.find_opt (fun e -> e.ce_maps == maps) entries with
+      | Some e -> e
+      | None ->
+        let key = Stackmap.serialize maps in
+        let ix =
+          match List.find_opt (fun e -> String.equal e.ce_key key) entries with
+          | Some e -> e.ce_ix
+          | None -> build maps
+        in
+        { ce_maps = maps; ce_key = key; ce_ix = ix }
     in
-    let kept = List.filteri (fun k _ -> k < cache_capacity - 1) !cache in
-    cache := { ce_maps = maps; ce_key = key; ce_ix = ix } :: kept;
-    ix
+    (* move to front: a hit must not age out behind newer map lists *)
+    let rest = List.filter (fun c -> c != e) entries in
+    cache := e :: List.filteri (fun k _ -> k < cache_capacity - 1) rest;
+    e.ce_ix
 
 let entry t name =
   incr lookups;

@@ -17,7 +17,7 @@
     All lookups preserve the first-match semantics of the linear scans
     they replace. [get] memoizes indexes by physical identity of the
     (immutable) map list, so repeated migrations and reshuffles of the
-    same binary never rebuild. Lookup/build counters feed the migration
+    same binary never rebuild. The lookup counter feeds the migration
     cost report. *)
 
 type t
@@ -54,8 +54,8 @@ val live_value_named : t -> string -> int -> string -> Stackmap.live_value optio
 
 (** {1 Observability}
 
-    Process-global counters surfaced in the migration cost report. *)
+    Process-global, monotone lookup counter. The rewriter differences
+    it around each rewrite to fill its per-run stats; read those
+    instead. *)
 
 val lookup_count : unit -> int
-val build_count : unit -> int
-val reset_counters : unit -> unit

@@ -29,8 +29,6 @@ let job_kind_of_session ~name ~xeon_ms ~rpi_ms ~times =
     jk_migration_ms = Dapper.Session.total_ms times }
 
 let default_window_ms = 30.0 *. 60.0 *. 1000.0
-let xeon_node = Node.xeon
-let rpi_node = Node.rpi
 
 type slot = { s_idx : int; s_is_rpi : bool; mutable s_busy_ms : float }
 
@@ -100,10 +98,10 @@ let run config kinds =
       0.0 slots
   in
   let energy_j =
-    (xeon_node.Node.n_idle_w *. window_s)
-    +. (xeon_node.Node.n_core_w *. xeon_busy_s)
-    +. (float_of_int config.c_rpis *. rpi_node.Node.n_idle_w *. window_s)
-    +. (rpi_node.Node.n_core_w *. rpi_busy_s)
+    (Node.xeon.Node.n_idle_w *. window_s)
+    +. (Node.xeon.Node.n_core_w *. xeon_busy_s)
+    +. (float_of_int config.c_rpis *. Node.rpi.Node.n_idle_w *. window_s)
+    +. (Node.rpi.Node.n_core_w *. rpi_busy_s)
   in
   let energy_kj = energy_j /. 1000.0 in
   { r_jobs_done = !done_total;

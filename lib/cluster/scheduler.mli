@@ -7,8 +7,6 @@
     simulation tracks completions and integrates the power model over
     busy time, yielding jobs/kJ and throughput. *)
 
-open Dapper_net
-
 type job_kind = {
   jk_name : string;
   jk_xeon_ms : float;        (** execution time on a Xeon core *)
@@ -47,5 +45,3 @@ val efficiency_gain_pct : baseline:result -> subject:result -> float
 val throughput_gain_pct : baseline:result -> subject:result -> float
 
 val default_window_ms : float
-val xeon_node : Node.t
-val rpi_node : Node.t

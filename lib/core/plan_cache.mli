@@ -44,31 +44,12 @@ val lookup :
   app:string -> src_arch:Arch.t -> dst_arch:Arch.t -> fn:string -> ep_id:int ->
   src_ep:Stackmap.eqpoint -> dst_ep:Stackmap.eqpoint -> plan
 
-(** {1 Observability} — process-global hit/miss counters, surfaced in
-    the migration cost report. *)
+(** {1 Observability} — process-global, monotone hit/miss counters.
+    {!Rewrite} differences them around each rewrite to fill its
+    per-run {!Rewrite.stats}; read those instead. *)
 
 val hits : unit -> int
 val misses : unit -> int
-val reset_counters : unit -> unit
 
-(** Drop all cached plans and reset the counters. *)
+(** Drop all cached plans (the counters keep counting). *)
 val clear : unit -> unit
-
-(** {1 Per-run counter scoping}
-
-    The global {!hits}/{!misses} tallies bleed across experiments
-    (anything may {!reset_counters} between two readings a caller wants
-    to difference). A run that needs trustworthy numbers attaches its
-    own {!counters} sink for its duration: every {!lookup} increments
-    the globals {e and} every attached sink, so a scoped count is immune
-    to concurrent resets. *)
-
-type counters = { mutable c_hits : int; mutable c_misses : int }
-
-val fresh_counters : unit -> counters
-val attach : counters -> unit
-val detach : counters -> unit
-
-(** [counting f] runs [f] with a fresh attached sink (detached even if
-    [f] raises) and returns [f]'s result with the counts it scoped. *)
-val counting : (unit -> 'a) -> 'a * counters

@@ -153,11 +153,6 @@ let place_frames ix_dst tid (ts : Unwind.thread_stack) =
 (* ----- the rewrite ----- *)
 
 let rewrite_exn (image : Images.image_set) ~(src : Binary.t) ~(dst : Binary.t) =
-  (* per-run plan counters ride an attached sink, immune to concurrent
-     resets of the process-global tallies mid-rewrite *)
-  let pc = Plan_cache.fresh_counters () in
-  Plan_cache.attach pc;
-  Fun.protect ~finally:(fun () -> Plan_cache.detach pc) @@ fun () ->
   if not (Arch.equal image.is_files.fi_arch src.bin_arch) then
     fail "image architecture %s does not match source binary %s"
       (Arch.name image.is_files.fi_arch) (Arch.name src.bin_arch);
@@ -165,7 +160,9 @@ let rewrite_exn (image : Images.image_set) ~(src : Binary.t) ~(dst : Binary.t) =
     fail "application mismatch between image and binaries";
   let src_maps = src.bin_stackmaps and dst_maps = dst.bin_stackmaps in
   let dst_arch = dst.bin_arch in
+  (* per-run counts are differences of the monotone global counters *)
   let index_lookups0 = Stackmap_index.lookup_count () in
+  let plan_hits0 = Plan_cache.hits () and plan_misses0 = Plan_cache.misses () in
   let ix_src = Stackmap_index.get src_maps in
   let ix_dst = Stackmap_index.get dst_maps in
   (* ok_exn re-raises the carrier: an unwind failure surfaces from the
@@ -419,8 +416,8 @@ let rewrite_exn (image : Images.image_set) ~(src : Binary.t) ~(dst : Binary.t) =
       st_ptrs_translated = !ptrs_translated;
       st_code_pages = !code_pages;
       st_stack_bytes = !stack_bytes;
-      st_plan_hits = pc.Plan_cache.c_hits;
-      st_plan_misses = pc.Plan_cache.c_misses;
+      st_plan_hits = Plan_cache.hits () - plan_hits0;
+      st_plan_misses = Plan_cache.misses () - plan_misses0;
       st_index_lookups = Stackmap_index.lookup_count () - index_lookups0;
       st_interval_lookups = !interval_lookups }
   in

@@ -97,6 +97,8 @@ let total_ms t = t.t_checkpoint_ms +. t.t_recode_ms +. t.t_scp_ms +. t.t_restore
 
 type stage_record = { sr_stage : Dapper_error.stage; sr_ms : float; sr_bytes : int }
 
+(* The classic four-phase breakdown of a stage log: pause and dump both
+   contribute to the checkpoint phase, commit to the restore phase. *)
 let times_of_log log =
   List.fold_left
     (fun acc r ->
@@ -603,6 +605,21 @@ let finish (s : committed t) =
     r_page_server = st.sm_page_server;
     r_transfer = s.s_tx;
     r_drained = st.sm_drained }
+
+(* Phase times plus the rewrite's index and plan-cache counters, on one
+   line (the fig5/fig7 tables keep their own fixed format). *)
+let cost_report (r : outcome) =
+  let t = r.r_times in
+  let rw = r.r_rewrite in
+  Printf.sprintf
+    "checkpoint %.2f ms, recode %.2f ms, scp %.2f ms, restore %.2f ms, total %.2f ms \
+     | plan cache %d hit%s / %d miss%s, %d index lookups, %d interval probes"
+    t.t_checkpoint_ms t.t_recode_ms t.t_scp_ms t.t_restore_ms (total_ms t)
+    rw.Rewrite.st_plan_hits
+    (if rw.Rewrite.st_plan_hits = 1 then "" else "s")
+    rw.Rewrite.st_plan_misses
+    (if rw.Rewrite.st_plan_misses = 1 then "" else "es")
+    rw.Rewrite.st_index_lookups rw.Rewrite.st_interval_lookups
 
 let ( let* ) = Result.bind
 

@@ -100,7 +100,6 @@ val default_config : src_bin:Binary.t -> dst_bin:Binary.t -> config
 
 val checkpoint_ms : node:Node.t -> bytes:int -> float
 val restore_ms : node:Node.t -> bytes:int -> float
-val lazy_restore_ms : node:Node.t -> float
 
 (** [recode_ns node ~bytes stats] models the state rewrite: per-work-item
     and per-byte costs scaled by the node architecture's measured recode
@@ -175,11 +174,6 @@ val total_ms : phase_times -> float
     lazy restore, commit). Explicit byte accounting lets the overlap
     math and the sequential totals be reconciled from the log alone. *)
 type stage_record = { sr_stage : Dapper_error.stage; sr_ms : float; sr_bytes : int }
-
-(** Fold a stage log into the classic four-phase breakdown (pause and
-    dump both contribute to the checkpoint phase; commit contributes to
-    the restore phase). *)
-val times_of_log : stage_record list -> phase_times
 
 (** {1 The session state machine} *)
 
@@ -309,6 +303,11 @@ type outcome = {
 }
 
 val finish : committed t -> outcome
+
+(** One-line migration cost report: phase times plus the index and
+    rewrite-plan-cache counters ({!Rewrite.stats} observability
+    fields). *)
+val cost_report : outcome -> string
 
 (** Run all six stages in order. On any stage failure the source is
     resumed ({!rollback}) and the stage's error returned. *)

@@ -139,6 +139,7 @@ let encode_file name json =
     | "files.img" -> Images.encode_files (files_of_json json)
     | _ -> fail "unknown image file %s" name
 
+(* Pages files decode to [{"raw_len": n}]; their bytes stay out of band. *)
 let decode_set is =
   List.map (fun (name, bytes) -> (name, decode_file name bytes)) (Images.to_files is)
 

@@ -16,8 +16,4 @@ val decode_file : string -> string -> Json.t
 (** [encode_file name json] re-encodes; inverse of [decode_file]. *)
 val encode_file : string -> Json.t -> string
 
-(** Whole-set conversions. JSON side: object mapping file name to
-    document; pages files are represented as [{"raw_len": n}] and carried
-    out-of-band. *)
-val decode_set : Images.image_set -> (string * Json.t) list
 val show : Images.image_set -> string

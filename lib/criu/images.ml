@@ -241,22 +241,10 @@ let page_offset_in_dump is pn =
     | None -> None
   else page_offset_linear is.is_pagemap target
 
-(* ----- content checksums -----
-   FNV-1a digests at two granularities: per dumped page (what a lazy
-   page fetch must deliver intact) and per image file / whole image set
-   (what an eager transfer must deliver intact). The transfer layer
-   verifies these on arrival and retransmits on mismatch. *)
-
-let page_checksum is pn =
-  match page_offset_in_dump is pn with
-  | None -> None
-  | Some off ->
-    Some
-      (Dapper_util.Bytebuf.fnv64_sub Dapper_util.Bytebuf.fnv64_offset is.is_pages off
-         Layout.page_size)
-
-let file_checksums is =
-  List.map (fun (name, data) -> (name, Dapper_util.Bytebuf.fnv64 data)) (to_files is)
+(* ----- content checksum -----
+   FNV-1a digest over the whole image set (what an eager transfer must
+   deliver intact). The transfer layer verifies it on arrival and
+   retransmits on mismatch. *)
 
 let checksum is =
   List.fold_left

@@ -60,9 +60,6 @@ type scenario = {
   sc_bad_until_ms : float;
 }
 
-(** Is [rack] inside its bad window at [now_ms]? *)
-val rack_bad : scenario -> rack:int -> now_ms:float -> bool
-
 type verdict = Committed | Degraded of Degrade.rung | Rolled_back
 
 val verdict_name : verdict -> string
@@ -122,8 +119,6 @@ type summary = {
   y_all : Dapper_traffic.Sketch.t;
   y_during : Dapper_traffic.Sketch.t;
 }
-
-val summarize : control:bool -> run list -> summary
 
 (** [sweep cfg scfg ~fresh ~seeds ~seed0] — seeds [seed0, seed0+1, ...]
     in order, plus their summary. *)

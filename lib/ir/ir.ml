@@ -2,9 +2,6 @@ open Dapper_isa
 
 type ty = I64 | F64 | Ptr
 
-let pp_ty ppf t =
-  Format.pp_print_string ppf (match t with I64 -> "i64" | F64 -> "f64" | Ptr -> "ptr")
-
 let ty_equal (a : ty) b = a = b
 
 type vreg = int
@@ -260,65 +257,3 @@ let liveness f =
       in
       go (n - 1) live (List.rev b.instrs);
       result)
-
-(* ----- pretty-printing ----- *)
-
-let pp_value ppf = function
-  | Vreg v -> Format.fprintf ppf "%%%d" v
-  | Imm i -> Format.fprintf ppf "%Ld" i
-  | Fimm f -> Format.fprintf ppf "%g" f
-  | Global_addr g -> Format.fprintf ppf "@%s" g
-  | Func_addr g -> Format.fprintf ppf "&%s" g
-
-let pp_instr ppf = function
-  | Binop (op, d, a, b) ->
-    Format.fprintf ppf "%%%d = %s %a, %a" d (Minstr.binop_name op) pp_value a pp_value b
-  | Unop (op, d, a) ->
-    Format.fprintf ppf "%%%d = %s %a" d (Minstr.unop_name op) pp_value a
-  | Load (d, a) -> Format.fprintf ppf "%%%d = load %a" d pp_value a
-  | Store (v, a) -> Format.fprintf ppf "store %a -> %a" pp_value v pp_value a
-  | Load8 (d, a) -> Format.fprintf ppf "%%%d = load8 %a" d pp_value a
-  | Store8 (v, a) -> Format.fprintf ppf "store8 %a -> %a" pp_value v pp_value a
-  | Slot_addr (d, s) -> Format.fprintf ppf "%%%d = slot_addr #%d" d s
-  | Slot_load (d, s) -> Format.fprintf ppf "%%%d = slot_load #%d" d s
-  | Slot_store (v, s) -> Format.fprintf ppf "slot_store %a -> #%d" pp_value v s
-  | Tls_addr (d, t) -> Format.fprintf ppf "%%%d = tls_addr %s" d t
-  | Call (d, callee, args) ->
-    (match d with
-     | Some d -> Format.fprintf ppf "%%%d = call " d
-     | None -> Format.fprintf ppf "call ");
-    (match callee with
-     | Direct n -> Format.fprintf ppf "%s" n
-     | Indirect v -> Format.fprintf ppf "*%a" pp_value v);
-    Format.fprintf ppf "(";
-    List.iteri
-      (fun i a ->
-        if i > 0 then Format.fprintf ppf ", ";
-        pp_value ppf a)
-      args;
-    Format.fprintf ppf ")"
-
-let pp_term ppf = function
-  | Ret None -> Format.fprintf ppf "ret"
-  | Ret (Some v) -> Format.fprintf ppf "ret %a" pp_value v
-  | Br l -> Format.fprintf ppf "br L%d" l
-  | Cbr (v, a, b) -> Format.fprintf ppf "cbr %a, L%d, L%d" pp_value v a b
-
-let pp_func ppf f =
-  Format.fprintf ppf "func %s(%s) {@." f.fname
-    (String.concat ", " (List.map (fun (n, _) -> n) f.fparams));
-  List.iter
-    (fun s -> Format.fprintf ppf "  slot #%d %s : %a[%d]@." s.sl_id s.sl_name pp_ty s.sl_ty s.sl_size)
-    f.fslots;
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "L%d:@." b.blabel;
-      List.iter (fun i -> Format.fprintf ppf "  %a@." pp_instr i) b.instrs;
-      Format.fprintf ppf "  %a@." pp_term b.term)
-    f.fblocks;
-  Format.fprintf ppf "}@."
-
-let pp_modul ppf m =
-  List.iter (fun g -> Format.fprintf ppf "global %s[%d]@." g.g_name g.g_size) m.m_globals;
-  List.iter (fun t -> Format.fprintf ppf "tls %s[%d]@." t.t_name t.t_size) m.m_tls;
-  List.iter (pp_func ppf) m.m_funcs

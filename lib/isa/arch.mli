@@ -50,8 +50,6 @@ val tls_offset : t -> int
 
 (** Cost model inputs used by the cluster/network simulation. *)
 
-val clock_ghz : t -> float
-
 (** Relative per-work-item slowdown of image-rewriting on this
     architecture's node (paper: recode on aarch64 is ~4x slower). *)
 val recode_slowdown : t -> float

@@ -104,9 +104,3 @@ let defs _arch = function
   | Load_pair (d1, d2, _, _) -> [ d1; d2 ]
   | Store _ | Store8 _ | Store_pair _ | Call _ | Call_reg _ | Ret | Jmp _ | Jz _ | Jnz _
   | Adjust_sp _ | Trap | Syscall _ | Nop -> []
-
-let is_terminator = function
-  | Ret | Jmp _ -> true
-  | Mov _ | Movi _ | Movk _ | Binop _ | Binopi _ | Unop _ | Load _ | Store _
-  | Load8 _ | Store8 _ | Load_pair _ | Store_pair _ | Tls_get _ | Call _ | Call_reg _ | Jz _
-  | Jnz _ | Adjust_sp _ | Trap | Syscall _ | Nop -> false

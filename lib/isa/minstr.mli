@@ -56,6 +56,3 @@ val to_string : Arch.t -> t -> string
     effects of call/ret/adjust_sp). *)
 val uses : Arch.t -> t -> reg list
 val defs : Arch.t -> t -> reg list
-
-(** True for instructions that end a basic block. *)
-val is_terminator : t -> bool

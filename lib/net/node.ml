@@ -35,5 +35,3 @@ let jetson =
 let exec_ns n instrs = Int64.to_float instrs /. n.n_ops_per_ns
 
 let power_w n ~busy = n.n_idle_w +. (float_of_int (min busy n.n_cores) *. n.n_core_w)
-
-let mem_ns n bytes = float_of_int bytes /. n.n_mem_gbps

@@ -103,10 +103,6 @@ let check ?(budget = default_budget) ~(log : Log.t) ~from_point (q : Process.t) 
         sh_substituted = c.substituted;
         sh_verdict = verdict })
 
-let verdict_to_string = function
-  | Match -> "MATCH"
-  | Diverged d -> "DIVERGED: " ^ Replayer.divergence_to_string d
-
 let report_to_string r =
   let head =
     Printf.sprintf

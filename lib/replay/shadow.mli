@@ -43,7 +43,5 @@ type report = {
     become [Diverged] verdicts. *)
 val check : ?budget:int -> log:Log.t -> from_point:int -> Process.t -> report
 
-val verdict_to_string : verdict -> string
-
 (** Multi-line report (the chaos plane attaches this to failures). *)
 val report_to_string : report -> string

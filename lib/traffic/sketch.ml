@@ -29,8 +29,6 @@ let create ?(rel_err = 0.01) () =
 
 let rel_err t = t.k_rel_err
 let count t = t.k_count
-let min_value t = t.k_min
-let max_value t = t.k_max
 let zero_count t = t.k_zero
 
 (* Bucket k holds (gamma^(k-1), gamma^k]: ceil of the log-gamma index. *)

@@ -87,8 +87,6 @@ val examples : t list
     back to a [result] at public boundaries. It must not escape them. *)
 exception Error of t
 
-val raise_error : t -> 'a
-
 (** [failf wrap fmt ...] raises {!Error} with [wrap msg]. *)
 val failf : (string -> t) -> ('a, unit, string, 'b) format4 -> 'a
 

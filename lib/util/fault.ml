@@ -5,24 +5,11 @@ type site =
   | Dest_restore
   | Dest_node
 
-let site_name = function
-  | Transfer_chunk -> "transfer-chunk"
-  | Page_fetch -> "page-fetch"
-  | Source_node -> "source-node"
-  | Dest_restore -> "dest-restore"
-  | Dest_node -> "dest-node"
-
 type action =
   | Drop
   | Corrupt of int64
   | Delay of float
   | Crash
-
-let action_name = function
-  | Drop -> "drop"
-  | Corrupt _ -> "corrupt"
-  | Delay _ -> "delay"
-  | Crash -> "crash"
 
 type spec = {
   fs_drop : float;

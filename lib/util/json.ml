@@ -233,7 +233,3 @@ let to_str = function
 let to_list = function
   | List v -> v
   | _ -> raise (Parse_error "expected list")
-
-let to_obj = function
-  | Obj v -> v
-  | _ -> raise (Parse_error "expected object")

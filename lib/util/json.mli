@@ -30,4 +30,3 @@ val to_float : t -> float
 val to_bool : t -> bool
 val to_str : t -> string
 val to_list : t -> t list
-val to_obj : t -> (string * t) list

@@ -26,20 +26,13 @@
       sizes, equal symbol tables, byte-identical data sections and
       anchors (the unified-address-space invariant). *)
 
-open Dapper_binary
 module Link = Dapper_codegen.Link
 
 type violation = { vi_where : string; vi_what : string }
 
 val violation_to_string : violation -> string
 
-(** Per-binary invariants. *)
-val check_binary : Binary.t -> violation list
-
-(** Cross-ISA pair invariants (per-binary checks not included). *)
-val check_pair : Binary.t -> Binary.t -> violation list
-
-(** [check_binary] on both binaries plus [check_pair]. *)
+(** The per-binary checks on both binaries plus the pair checks. *)
 val check_compiled : Link.compiled -> violation list
 
 (** [run c] is [Ok ()] when [check_compiled c] finds nothing, otherwise

@@ -6,7 +6,6 @@
 
 type cls = A | B
 
-val cls_name : cls -> string
 val scale : cls -> int
 
 val ep : cls -> Dapper_ir.Ir.modul  (* embarrassingly parallel (gaussian pairs) *)

@@ -13,9 +13,6 @@ type spec = {
 (** All benchmarks at their default (class-A-like) sizes. *)
 val all : unit -> spec list
 
-(** Subsets used by individual experiments. *)
-val npb_a : unit -> spec list
-val npb_b : unit -> spec list
 val parsec : unit -> spec list
 
 val find : string -> spec

@@ -84,7 +84,7 @@ let native_run compiled arch ~fuel =
 
 (* Run [warmup] instructions on [src], migrate to [dst], finish there;
    return (exit code, combined stdout, migration result). *)
-let migrate_run ?lazy_pages compiled ~src ~dst ~warmup ~fuel =
+let migrate_run ?(lazy_pages = false) compiled ~src ~dst ~warmup ~fuel =
   let src_bin = Link.binary_for compiled src in
   let dst_bin = Link.binary_for compiled dst in
   let p = Process.load src_bin in
@@ -93,11 +93,17 @@ let migrate_run ?lazy_pages compiled ~src ~dst ~warmup ~fuel =
    | Process.Exited_run _ -> Alcotest.fail "program finished before migration point"
    | Process.Idle -> Alcotest.fail "deadlock before migration"
    | Process.Crashed c -> Alcotest.fail ("crash before migration: " ^ c.cr_reason));
-  match
-    Migrate.migrate ?lazy_pages ~src_node:(node_of src) ~dst_node:(node_of dst)
-      ~src_bin ~dst_bin p
-  with
-  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  let cfg =
+    { (Session.default_config ~src_bin ~dst_bin) with
+      cfg_src_node = node_of src;
+      cfg_dst_node = node_of dst;
+      cfg_recode_node = node_of src;
+      cfg_transport =
+        (if lazy_pages then Transport.page_server Dapper_net.Link.infiniband
+         else Transport.scp Dapper_net.Link.infiniband) }
+  in
+  match Result.map Session.finish (Session.run cfg p) with
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     let out_before = Process.stdout_contents p in
     (match Process.run_to_completion r.r_process ~fuel with
@@ -288,19 +294,19 @@ let test_migration_time_breakdown_sane () =
   let compiled = Link.compile ~app:"compute" m in
   let p = Process.load compiled.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:100_000);
-  match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
-      ~src_bin:compiled.Link.cp_x86 ~dst_bin:compiled.Link.cp_arm p
-  with
-  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  let cfg =
+    Session.default_config ~src_bin:compiled.Link.cp_x86 ~dst_bin:compiled.Link.cp_arm
+  in
+  match Result.map Session.finish (Session.run cfg p) with
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     let t = r.r_times in
     check Alcotest.bool "all phases positive" true
       (t.t_checkpoint_ms > 0.0 && t.t_recode_ms > 0.0 && t.t_scp_ms > 0.0
        && t.t_restore_ms > 0.0);
     (* recode on the Pi is ~4x slower than on the Xeon (Fig. 5) *)
-    let on_xeon = Migrate.recode_ns Node.xeon ~bytes:0 r.r_rewrite in
-    let on_rpi = Migrate.recode_ns Node.rpi ~bytes:0 r.r_rewrite in
+    let on_xeon = Session.recode_ns Node.xeon ~bytes:0 r.r_rewrite in
+    let on_rpi = Session.recode_ns Node.rpi ~bytes:0 r.r_rewrite in
     check Alcotest.bool "recode slower on rpi" true (on_rpi > 3.0 *. on_xeon)
 
 let suites =

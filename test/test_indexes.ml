@@ -267,6 +267,39 @@ let test_index_memo_by_content () =
   let ix3 = Stackmap_index.get copy in
   check Alcotest.bool "equal content is memoized" true (ix1 == ix3)
 
+(* The memo is most-recently-used: a binary in constant use stays cached
+   however many other map lists (here, reshuffle epochs) are indexed in
+   between, so its index is never evicted and rebuilt. *)
+let test_index_memo_keeps_hot_entry () =
+  let c = Registry_helpers.compute () in
+  let bin = c.Link.cp_x86 in
+  let hot = bin.Binary.bin_stackmaps in
+  (* each call: a shuffled map list whose content no earlier call (nor
+     [hot]) had, so indexing it is a genuine miss *)
+  let seen = Hashtbl.create 128 in
+  Hashtbl.replace seen (Stackmap.serialize hot) ();
+  let seed = ref 0L in
+  let rec fresh () =
+    seed := Int64.succ !seed;
+    if !seed > 2000L then Alcotest.fail "ran out of distinct shuffles";
+    let shuffled, _ = Dapper.Shuffle.shuffle_binary (Dapper_util.Rng.create !seed) bin in
+    let maps = shuffled.Binary.bin_stackmaps in
+    let key = Stackmap.serialize maps in
+    if Hashtbl.mem seen key then fresh ()
+    else begin
+      Hashtbl.add seen key ();
+      maps
+    end
+  in
+  (* flush whatever earlier tests left in the memo, so no stale entry
+     with [hot]'s content can hand its index back by the content path *)
+  for _ = 1 to 40 do ignore (Stackmap_index.get (fresh ())) done;
+  let ix = Stackmap_index.get hot in
+  for _ = 1 to 40 do
+    ignore (Stackmap_index.get (fresh ()));
+    check Alcotest.bool "hot index kept" true (Stackmap_index.get hot == ix)
+  done
+
 let suites =
   [ ( "indexes",
       [ QCheck_alcotest.to_alcotest qcheck_stackmap_index_equiv;
@@ -275,4 +308,6 @@ let suites =
         Alcotest.test_case "interval map overlap handling" `Quick
           test_interval_map_overlap_detected;
         Alcotest.test_case "index memoized by stack-map content" `Quick
-          test_index_memo_by_content ] ) ]
+          test_index_memo_by_content;
+        Alcotest.test_case "index memo keeps a hot binary" `Quick
+          test_index_memo_keeps_hot_entry ] ) ]

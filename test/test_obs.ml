@@ -5,7 +5,6 @@ open Dapper_machine
 open Dapper
 module Trace = Dapper_obs.Trace
 module Link = Dapper_codegen.Link
-module Node = Dapper_net.Node
 module Oracle = Dapper_verify.Oracle
 module Corpus = Dapper_verify.Corpus
 
@@ -37,11 +36,9 @@ let migrate_once () =
   let c = Registry_helpers.compute () in
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:120_000);
-  match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
-      ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
-  with
-  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  let cfg = Session.default_config ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm in
+  match Result.map Session.finish (Session.run cfg p) with
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok r -> r
 
 (* ----- the trace sink ----- *)
@@ -132,7 +129,7 @@ let test_traced_migration_well_formed () =
   check_well_formed events;
   (* per-stage span totals agree with the session's phase times (eager
      scp: nothing charges the clock outside the stage spans) *)
-  let t = r.Migrate.r_times in
+  let t = r.Session.r_times in
   let close what want got =
     check Alcotest.bool
       (Printf.sprintf "%s: %.6f ~ %.6f" what want got)
@@ -140,11 +137,11 @@ let test_traced_migration_well_formed () =
       (abs_float (want -. got) < 1e-6)
   in
   let stage s = Trace.total_ms ~cat:"session" s in
-  close "checkpoint = pause + dump spans" t.Migrate.t_checkpoint_ms
+  close "checkpoint = pause + dump spans" t.Session.t_checkpoint_ms
     (stage "pause" +. stage "dump");
-  close "recode span" t.Migrate.t_recode_ms (stage "recode");
-  close "transfer span" t.Migrate.t_scp_ms (stage "transfer");
-  close "restore = restore + commit spans" t.Migrate.t_restore_ms
+  close "recode span" t.Session.t_recode_ms (stage "recode");
+  close "transfer span" t.Session.t_scp_ms (stage "transfer");
+  close "restore = restore + commit spans" t.Session.t_restore_ms
     (stage "restore" +. stage "commit");
   (* the Chrome export carries one object per event *)
   (match Trace.to_chrome_json () with
@@ -169,17 +166,15 @@ let test_cost_report_pinned () =
   if not (Oracle.advance_to_point p ~budget:30_000_000 0) then
     Alcotest.fail "mini-quickstart exited before its first equivalence point";
   Plan_cache.clear ();
-  match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
-      ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
-  with
-  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  let cfg = Session.default_config ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm in
+  match Result.map Session.finish (Session.run cfg p) with
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     check Alcotest.string "cost report"
       "checkpoint 3.00 ms, recode 20.97 ms, scp 0.07 ms, restore 3.00 ms, \
        total 27.04 ms | plan cache 0 hits / 1 miss, 4 index lookups, \
        0 interval probes"
-      (Migrate.cost_report r)
+      (Session.cost_report r)
 
 (* ----- replay determinism ----- *)
 

@@ -104,12 +104,12 @@ let test_policy_identity_and_cross_isa () =
   ignore (Process.run p ~max_instrs:200_000);
   (* identity first, then cross-ISA, chained through Policy *)
   match Policy.apply p ~current:c.Link.cp_x86 Policy.Identity with
-  | Error e -> Alcotest.fail (Policy.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok st1 ->
     ignore (Process.run st1.ap_process ~max_instrs:100_000);
     (match Policy.apply st1.ap_process ~current:st1.ap_binary
              (Policy.Cross_isa c.Link.cp_arm) with
-     | Error e -> Alcotest.fail (Policy.error_to_string e)
+     | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
      | Ok st2 ->
        (match Process.run_to_completion st2.ap_process ~fuel:50_000_000 with
         | Process.Exited_run v ->
@@ -134,7 +134,7 @@ let test_policy_periodic_rerandomization () =
     Policy.rerandomize_periodically p ~current:c.Link.cp_x86 ~rng ~interval:150_000
       ~epochs:4
   with
-  | Error e -> Alcotest.fail (Policy.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok (final, epochs) ->
     check Alcotest.bool "several epochs ran" true (epochs >= 2);
     check Alcotest.bool "binary actually changed" true
