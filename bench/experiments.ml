@@ -675,7 +675,7 @@ let fig9 () =
             ignore (Process.run p ~max_instrs:400_000);
             (match Monitor.request_pause p ~budget:40_000_000 with
              | Ok _ -> ()
-             | Error e -> failwith (Monitor.error_to_string e));
+             | Error e -> failwith (Dapper_error.to_string e));
             let image = Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in
             let shuffled, _ = Shuffle.shuffle_binary (Rng.create 11L) bin in
             let image', rw =
@@ -983,7 +983,7 @@ let ablation () =
     ignore (Process.run p ~max_instrs:500_000);
     match Monitor.request_pause p ~budget:40_000_000 with
     | Ok stats -> Int64.to_int stats.Monitor.ps_instrs_drained
-    | Error e -> failwith (Monitor.error_to_string e)
+    | Error e -> failwith (Dapper_error.to_string e)
   in
   (* DSU padding slack: how much body growth a hot update absorbs *)
   let grown extra =

@@ -28,7 +28,7 @@ let run bench warm recode =
   ignore (Process.run p ~max_instrs:warm);
   (match Monitor.request_pause p ~budget:50_000_000 with
    | Ok _ -> ()
-   | Error e -> failwith (Monitor.error_to_string e));
+   | Error e -> failwith (Dapper_util.Dapper_error.to_string e));
   let image = Dapper_util.Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in
   print_endline (Dapper_criu.Crit.show image);
   if recode then begin

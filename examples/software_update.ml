@@ -45,7 +45,7 @@ let () =
   Printf.printf "server running v1 (%Ld instructions in); applying the fix live...\n"
     p.Process.total_instrs;
   match Dsu.update p ~old_bin:v1.Link.cp_x86 ~new_bin:v2.Link.cp_x86 with
-  | Error e -> failwith (Dsu.error_to_string e)
+  | Error e -> failwith (Dapper_util.Dapper_error.to_string e)
   | Ok q ->
     (match Process.run_to_completion q ~fuel:10_000_000 with
      | Process.Exited_run _ ->

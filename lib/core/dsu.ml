@@ -3,10 +3,6 @@ open Dapper_isa
 open Dapper_machine
 open Dapper_binary
 
-type error = Dapper_error.t
-
-let error_to_string = Dapper_error.to_string
-
 let changed_functions ~(old_bin : Binary.t) ~(new_bin : Binary.t) =
   (* Index the new binary once instead of a linear find_func per old
      function (O(n^2) over the program's function count). *)

@@ -21,22 +21,17 @@ open Dapper_util
 open Dapper_machine
 open Dapper_binary
 
-(** DSU failures use the unified error surface: [Layout_incompatible] (a
-    symbol moved; the new version cannot be hot-applied),
-    [Active_function] (some thread is suspended inside a changed
-    function), plus the pause/dump/recode/restore errors of the shared
-    pipeline. *)
-type error = Dapper_error.t
-
-val error_to_string : error -> string
-
 (** Functions whose code bytes differ between the two binaries. *)
 val changed_functions : old_bin:Binary.t -> new_bin:Binary.t -> string list
 
 (** [update p ~old_bin ~new_bin] hot-swaps the running process [p] onto
-    [new_bin] (same architecture), returning the updated process. On
-    error, [p] is left paused; call {!Monitor.resume} to continue it on
-    the old version. *)
+    [new_bin] (same architecture), returning the updated process.
+    Failures are {!Dapper_error.t}s: [Layout_incompatible] (a symbol
+    moved; the new version cannot be hot-applied), [Active_function]
+    (some thread is suspended inside a changed function), plus the
+    pause/dump/recode/restore errors of the shared pipeline. On error,
+    [p] is left paused; call {!Monitor.resume} to continue it on the old
+    version. *)
 val update :
   ?retries:int ->
-  Process.t -> old_bin:Binary.t -> new_bin:Binary.t -> (Process.t, error) result
+  Process.t -> old_bin:Binary.t -> new_bin:Binary.t -> (Process.t, Dapper_error.t) result

@@ -9,10 +9,6 @@ type pause_stats = {
   ps_rolled_back : int;
 }
 
-type error = Dapper_error.t
-
-let error_to_string = Dapper_error.to_string
-
 let index_of (p : Process.t) =
   Stackmap_index.get p.Process.binary.Binary.bin_stackmaps
 

@@ -18,19 +18,14 @@ type pause_stats = {
   ps_rolled_back : int;       (** blocked threads rolled back to a call site *)
 }
 
-(** Pause failures are part of the unified error surface:
-    [Pause_budget_exhausted] (some thread never reached an equivalence
-    point within the drain budget), [Not_at_equivalence_point] and
-    [Process_exited]. *)
-type error = Dapper_error.t
-
-val error_to_string : error -> string
-
 (** [request_pause p ~budget] quiesces the process, leaving every live
-    thread [Stopped] at an equivalence point. On failure the process is
-    left untouched except for consumed execution budget; call [cancel]
-    to lower the flag and resume. *)
-val request_pause : Process.t -> budget:int -> (pause_stats, error) result
+    thread [Stopped] at an equivalence point. Failures are
+    {!Dapper_error.t}s: [Pause_budget_exhausted] (some thread never
+    reached an equivalence point within the drain budget),
+    [Not_at_equivalence_point] and [Process_exited]. On failure the
+    process is left untouched except for consumed execution budget; call
+    [cancel] to lower the flag and resume. *)
+val request_pause : Process.t -> budget:int -> (pause_stats, Dapper_error.t) result
 
 (** Lower the flag and resume all stopped threads (abort a pause). *)
 val cancel : Process.t -> unit

@@ -5,6 +5,7 @@ module Session = Dapper.Session
 module Budget = Dapper_traffic.Budget
 module Sketch = Dapper_traffic.Sketch
 module Arrival = Dapper_traffic.Arrival
+module Loadgen = Dapper_traffic.Loadgen
 module Placement = Dapper_cluster.Placement
 module Derr = Dapper_error
 
@@ -486,9 +487,10 @@ let run c (scfg : Session.config) ~fresh ~seed =
   let during = Sketch.create () in
   let fp = ref Bytebuf.fnv64_offset in
   let ok_n = ref 0 in
-  let track_overhead = 1.03 in
-  let class_mult u = if u < 0.6 then 0.8 else if u < 0.9 then 1.2 else 1.6 in
-  let expo rng = -.Float.log (1.0 -. Rng.float rng) in
+  (* the windows as flat float arrays, so the per-request pass below
+     allocates nothing *)
+  let win_start = Array.of_list (List.map fst windows) in
+  let win_stop = Array.of_list (List.map snd windows) in
   let remaining =
     ref
       (match !committed with
@@ -509,19 +511,22 @@ let run c (scfg : Session.config) ~fresh ~seed =
     let t0 = Float.max arrive lanes.(!lane) in
     (* push through every blackout window the start lands in; windows
        are chronological and disjoint, so one pass suffices *)
-    let t0 =
-      List.fold_left
-        (fun t (s, e) -> if t >= s && t < e then e else t)
-        t0 windows
-    in
+    let t0 = ref t0 in
+    for w = 0 to Array.length win_start - 1 do
+      if !t0 >= win_start.(w) && !t0 < win_stop.(w) then t0 := win_stop.(w)
+    done;
+    let t0 = !t0 in
     let on_dst = match resume with Some r -> t0 >= r | None -> false in
     let mean =
       if on_dst then c.su_service_dst_ms
       else if t0 >= mig_start && t0 < mig_end then
-        c.su_service_src_ms *. track_overhead
+        c.su_service_src_ms *. Loadgen.track_overhead
       else c.su_service_src_ms
     in
-    let svc = mean *. class_mult (Rng.float service_rng) *. expo service_rng in
+    let svc =
+      mean *. Loadgen.class_mult (Rng.float service_rng)
+      *. Arrival.expo service_rng
+    in
     let fault_ms =
       if on_dst && !remaining > 0 then begin
         if

@@ -133,7 +133,10 @@ let fetch_stall_ns t ?fault ~page_bytes () =
   let base = page_fetch_ns t page_bytes in
   let rec go k acc =
     let acc = acc +. base in
-    match Option.bind fault (fun f -> Fault.draw f Fault.Page_fetch) with
+    let drawn =
+      match fault with Some f -> Fault.draw f Fault.Page_fetch | None -> None
+    in
+    match drawn with
     | Some (Fault.Drop | Fault.Corrupt _) when k + 1 < max_attempts ->
       go (k + 1) (acc +. backoff_ns t k)
     | Some (Fault.Drop | Fault.Corrupt _) -> acc

@@ -18,6 +18,8 @@
     All draws come from one splitmix64 stream per generator: same seed,
     same arrival times, bit for bit. *)
 
+open Dapper_util
+
 type t
 
 (** [poisson ~seed ~rate_per_ms] emits at constant [rate_per_ms] > 0
@@ -31,6 +33,12 @@ val mmpp : seed:int64 -> (float * float) array -> t
 
 (** Next absolute arrival time in ms — non-decreasing across calls. *)
 val next : t -> float
+
+(** [expo rng] is a unit-mean exponential draw (inverse CDF, one
+    {!Rng.float}): the inter-arrival and holding-time sampler, shared
+    with the service-time draws of {!Loadgen} and
+    {!Dapper_health.Sustained}. *)
+val expo : Rng.t -> float
 
 (** Long-run mean rate: hold-time-weighted average of the state rates. *)
 val mean_rate_per_ms : t -> float

@@ -46,13 +46,11 @@ type stats = {
 (* Request mix over the Redis-style op classes (GET/SET/INCR at
    60/30/10%), with per-class cost multipliers chosen to preserve the
    calibrated mean exactly: 0.6*0.8 + 0.3*1.2 + 0.1*1.6 = 1. *)
-let class_mult u = if u < 0.6 then 0.8 else if u < 0.9 then 1.2 else 1.6
+let[@inline] class_mult u = if u < 0.6 then 0.8 else if u < 0.9 then 1.2 else 1.6
 
 (* Write-barrier overhead while dirty tracking runs: pre-copy rounds
    slow the source a hair; the model charges 3% on the service mean. *)
 let track_overhead = 1.03
-
-let expo rng = -.Float.log (1.0 -. Rng.float rng)
 
 let needs_lazy = function
   | Budget.Vanilla | Budget.Precopy -> false
@@ -166,7 +164,9 @@ let run c scfg p mech =
         c.lg_service_src_ms *. track_overhead
       else c.lg_service_src_ms
     in
-    let svc = mean *. class_mult (Rng.float service_rng) *. expo service_rng in
+    let svc =
+      mean *. class_mult (Rng.float service_rng) *. Arrival.expo service_rng
+    in
     let fault_ms =
       if lazy_mech && t0 >= resume && !remaining > 0 then begin
         let hot = max 1 hot_pages in

@@ -62,6 +62,15 @@ val rate_per_ms : cfg -> float
     [lg_service_*_ms] from real workload runs. *)
 val service_ms : node:Node.t -> instrs_per_req:float -> float
 
+(** Request mix over the Redis-style op classes: [class_mult u] maps a
+    uniform [u] to GET/SET/INCR (60/30/10%) cost multipliers 0.8, 1.2 and
+    1.6, whose mean is exactly 1. *)
+val class_mult : float -> float
+
+(** Service-time multiplier on the source while pre-copy dirty tracking
+    runs (1.03: a 3% write-barrier overhead). *)
+val track_overhead : float
+
 type stats = {
   ls_mechanism : Budget.mechanism;
   ls_requests : int;

@@ -19,7 +19,9 @@ type t
 
 (** [create ~rel_err ()] accepts non-negative values. [rel_err]
     (default 0.01, i.e. 1%) must be in (0, 1). Values below [1e-9] are
-    folded into an exact zero bucket. *)
+    folded into an exact zero bucket. Buckets are a dense array over the
+    range of keys seen, so memory is [O(log(max/min) / rel_err)] words:
+    at most ~75k at 1%, a few hundred for a typical latency stream. *)
 val create : ?rel_err:float -> unit -> t
 
 val rel_err : t -> float

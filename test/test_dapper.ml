@@ -181,7 +181,7 @@ let test_restore_without_rewrite_fails () =
   let p = Process.load compiled.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:50_000);
   (match Monitor.request_pause p ~budget:10_000_000 with
-   | Error e -> Alcotest.fail (Monitor.error_to_string e)
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
    | Ok _ -> ());
   let image = ok (Dapper_criu.Dump.dump p) in
   check Alcotest.bool "arch mismatch rejected" true
@@ -196,7 +196,7 @@ let test_pause_cancel_resume () =
   let p = Process.load compiled.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:80_000);
   (match Monitor.request_pause p ~budget:10_000_000 with
-   | Error e -> Alcotest.fail (Monitor.error_to_string e)
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
    | Ok stats ->
      check Alcotest.bool "some thread trapped" true (stats.ps_trapped >= 1));
   check Alcotest.bool "quiescent" true (Process.all_quiescent p);
@@ -223,7 +223,7 @@ let test_crit_roundtrip_real_dump () =
   let p = Process.load compiled.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:100_000);
   (match Monitor.request_pause p ~budget:10_000_000 with
-   | Error e -> Alcotest.fail (Monitor.error_to_string e)
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
    | Ok _ -> ());
   let image = ok (Dapper_criu.Dump.dump p) in
   (* files <-> image_set roundtrip *)
@@ -274,7 +274,7 @@ let test_live_stack_reshuffle () =
   let p = Process.load bin in
   ignore (Process.run p ~max_instrs:100_000);
   (match Monitor.request_pause p ~budget:10_000_000 with
-   | Error e -> Alcotest.fail (Monitor.error_to_string e)
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
    | Ok _ -> ());
   let out_before = Process.stdout_contents p in
   let image = ok (Dapper_criu.Dump.dump p) in

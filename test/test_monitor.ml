@@ -25,7 +25,7 @@ let test_drain_budget_exhausted () =
   ignore (Process.run p ~max_instrs:10_000);
   match Monitor.request_pause p ~budget:200_000 with
   | Error Dapper_util.Dapper_error.Pause_budget_exhausted -> ()
-  | Error e -> Alcotest.fail (Monitor.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok _ -> Alcotest.fail "call-free loop should not be pausable at function entries"
 
 let test_backedge_checkers_rescue () =
@@ -36,7 +36,7 @@ let test_backedge_checkers_rescue () =
   ignore (Process.run p ~max_instrs:10_000);
   match Monitor.request_pause p ~budget:200_000 with
   | Ok stats -> check Alcotest.bool "trapped quickly" true (stats.ps_trapped = 1)
-  | Error e -> Alcotest.fail (Monitor.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
 
 let test_backedge_migration_correct () =
   (* a thread paused at a loop-header equivalence point must migrate *)
@@ -52,7 +52,7 @@ let test_backedge_migration_correct () =
   ignore (Process.run p ~max_instrs:2_000_000);
   (match Monitor.request_pause p ~budget:1_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   let image = ok (Dapper_criu.Dump.dump p) in
   let image', _ = ok (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm) in
   let q = ok (Dapper_criu.Restore.restore image' c.Link.cp_arm) in
@@ -72,7 +72,7 @@ let test_tampered_trap_rejected () =
   th.Process.pc <- Int64.add c.Link.cp_x86.bin_anchors.a_entry 1L;
   match Monitor.request_pause p ~budget:1_000_000 with
   | Error (Dapper_util.Dapper_error.Not_at_equivalence_point _) -> ()
-  | Error e -> Alcotest.fail (Monitor.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok _ -> Alcotest.fail "tampered trap accepted"
 
 let test_critical_section_masks_checker () =
@@ -97,7 +97,7 @@ let test_critical_section_masks_checker () =
   ignore (Process.run p ~max_instrs:600);
   (match Monitor.request_pause p ~budget:10_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   let mtx_addr =
     (Option.get (Dapper_binary.Binary.find_symbol c.Link.cp_x86 "mtx")).sym_addr
   in
@@ -114,7 +114,7 @@ let test_cancel_is_clean () =
   ignore (Process.run p ~max_instrs:50_000);
   (match Monitor.request_pause p ~budget:20_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   Monitor.cancel p;
   let flag = c.Link.cp_x86.bin_anchors.a_flag in
   check Alcotest.bool "flag lowered" true (Int64.equal (Process.peek_data p flag) 0L);
@@ -126,12 +126,12 @@ let test_pause_is_idempotent_under_repeat () =
   ignore (Process.run p ~max_instrs:50_000);
   (match Monitor.request_pause p ~budget:20_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   (* pausing an already-paused process succeeds with zero drain *)
   match Monitor.request_pause p ~budget:1_000 with
   | Ok stats ->
     check Alcotest.bool "no extra drain" true (stats.ps_instrs_drained = 0L)
-  | Error e -> Alcotest.fail (Monitor.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
 
 let test_blocked_threads_rolled_back () =
   (* main blocks in join while a worker spins; at pause time the main
@@ -161,7 +161,7 @@ let test_blocked_threads_rolled_back () =
   (match Monitor.request_pause p ~budget:30_000_000 with
    | Ok stats ->
      check Alcotest.bool "main rolled back out of join" true (stats.ps_rolled_back >= 1)
-   | Error e -> Alcotest.fail (Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   (* and the paused process must still migrate + finish correctly *)
   let image = ok (Dapper_criu.Dump.dump p) in
   let image', _ = ok (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm) in

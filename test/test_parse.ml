@@ -195,7 +195,7 @@ let test_parsed_program_migrates () =
   ignore (Process.run p ~max_instrs:500_000);
   (match Dapper.Monitor.request_pause p ~budget:30_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Dapper.Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   let ok = Dapper_util.Dapper_error.ok_exn in
   let image = ok (Dapper_criu.Dump.dump p) in
   let image', _ =

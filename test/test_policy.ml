@@ -37,7 +37,7 @@ let test_dsu_changes_behavior_mid_run () =
       let p = Process.load old_bin in
       ignore (Process.run p ~max_instrs:3_000);
       match Dsu.update p ~old_bin ~new_bin with
-      | Error e -> Alcotest.fail (Dsu.error_to_string e)
+      | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
       | Ok q ->
         (match Process.run_to_completion q ~fuel:10_000_000 with
          | Process.Exited_run _ ->
@@ -71,7 +71,7 @@ let test_dsu_refuses_active_function () =
   ignore (Process.run p ~max_instrs:3_000);
   match Dsu.update ~retries:0 p ~old_bin:c1.Link.cp_x86 ~new_bin:c2.Link.cp_x86 with
   | Error (Dapper_util.Dapper_error.Active_function "main") -> ()
-  | Error e -> Alcotest.fail (Dsu.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok _ -> Alcotest.fail "update of an active function must be refused"
 
 let test_dsu_refuses_layout_change () =
@@ -89,7 +89,7 @@ let test_dsu_refuses_layout_change () =
   ignore (Process.run p ~max_instrs:3_000);
   match Dsu.update p ~old_bin:c1.Link.cp_x86 ~new_bin:c2.Link.cp_x86 with
   | Error (Dapper_util.Dapper_error.Layout_incompatible _) -> ()
-  | Error e -> Alcotest.fail (Dsu.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok _ -> Alcotest.fail "incompatible layout must be refused"
 
 let test_policy_identity_and_cross_isa () =

@@ -17,7 +17,7 @@ let reference () =
 let pause_and_dump p =
   (match Monitor.request_pause p ~budget:30_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   ok (Dapper_criu.Dump.dump p)
 
 (* Property: migration is transparent at a *random* point, not just the

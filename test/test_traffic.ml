@@ -104,6 +104,96 @@ let qcheck_sketch_merge_associative =
       && sketch_repr left = sketch_repr flat
       && sketch_repr (Sketch.merge sa sb) = sketch_repr (Sketch.merge sb sa))
 
+(* Buckets against a naive model: an association list keyed by the same
+   log-gamma formula, queried by the same nearest-rank walk. The inputs
+   span the whole key range, from just above the zero floor (key about
+   -1040) to near 1e300 (about +34.5k), so the dense bucket array has to
+   grow at both ends. *)
+let model_gamma = (1.0 +. 0.01) /. (1.0 -. 0.01)
+let model_key v = int_of_float (Float.ceil (Float.log v /. Float.log model_gamma))
+
+let model_of values =
+  let zero = List.length (List.filter (fun v -> v < 1e-9) values) in
+  let buckets =
+    List.fold_left
+      (fun acc v ->
+        if v < 1e-9 then acc
+        else
+          let k = model_key v in
+          match List.assoc_opt k acc with
+          | Some c -> (k, c + 1) :: List.remove_assoc k acc
+          | None -> (k, 1) :: acc)
+      [] values
+  in
+  (List.sort compare buckets, zero)
+
+let model_quantile values q =
+  let buckets, zero = model_of values in
+  let n = List.length values in
+  let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+  if rank <= zero then 0.0
+  else begin
+    let rec walk remaining = function
+      | (k, c) :: rest ->
+        if remaining - c <= 0 then
+          2.0 *. (model_gamma ** float_of_int k) /. (model_gamma +. 1.0)
+        else walk (remaining - c) rest
+      | [] -> Alcotest.fail "model: rank past the last bucket"
+    in
+    let v = walk (rank - zero) buckets in
+    let lo = List.fold_left Float.min infinity values in
+    let hi = List.fold_left Float.max neg_infinity values in
+    Float.min hi (Float.max lo v)
+  end
+
+let agrees_with_model s values =
+  let buckets, zero = model_of values in
+  Sketch.buckets s = buckets
+  && Sketch.zero_count s = zero
+  && Sketch.count s = List.length values
+  && (values = []
+     || List.for_all
+          (fun q -> Sketch.quantile s q = model_quantile values q)
+          test_quantiles)
+
+let gen_tiny = QCheck.Gen.(float_range 0.0 1.0 >|= fun u -> 1e-9 *. (1.0 +. u))
+let gen_huge = QCheck.Gen.(float_range 0.0 1.0 >|= fun u -> 1e300 *. (1.0 +. (100.0 *. u)))
+
+(* Descending, then ascending: the first half pushes the array's lower
+   end down, the second its upper end up. *)
+let gen_spread_values =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [ (3, gen_tiny); (3, gen_huge);
+          (3, float_range (-9.0) 300.0 >|= fun e -> 10.0 ** e);
+          (1, float_range 0.0 1e-9) ]
+    in
+    pair (list_size (int_range 0 60) value) (list_size (int_range 0 60) value)
+    >|= fun (down, up) ->
+    List.sort (fun a b -> Float.compare b a) down @ List.sort Float.compare up)
+
+let print_values vs =
+  Printf.sprintf "[%s]" (String.concat "; " (List.map (Printf.sprintf "%h") vs))
+
+let qcheck_sketch_dense_buckets =
+  QCheck.Test.make ~count:200 ~name:"sketch buckets match a naive model"
+    (QCheck.make ~print:print_values gen_spread_values)
+    (fun values -> agrees_with_model (sketch_of values) values)
+
+let qcheck_sketch_disjoint_merge =
+  QCheck.Test.make ~count:200
+    ~name:"sketch merge of disjoint key ranges matches the model"
+    (QCheck.make
+       ~print:(fun (a, b) -> print_values a ^ " ++ " ^ print_values b)
+       QCheck.Gen.(
+         pair (list_size (int_range 0 40) gen_tiny)
+           (list_size (int_range 0 40) gen_huge)))
+    (fun (tiny, huge) ->
+      let st = sketch_of tiny and sh = sketch_of huge in
+      agrees_with_model (Sketch.merge st sh) (tiny @ huge)
+      && agrees_with_model (Sketch.merge sh st) (huge @ tiny))
+
 let test_sketch_edges () =
   let s = Sketch.create () in
   (try
@@ -438,6 +528,8 @@ let suites =
   [ ( "traffic",
       [ QCheck_alcotest.to_alcotest qcheck_sketch_rank_error;
         QCheck_alcotest.to_alcotest qcheck_sketch_merge_associative;
+        QCheck_alcotest.to_alcotest qcheck_sketch_dense_buckets;
+        QCheck_alcotest.to_alcotest qcheck_sketch_disjoint_merge;
         Alcotest.test_case "sketch edge cases" `Quick test_sketch_edges;
         QCheck_alcotest.to_alcotest (qcheck_precopy_convergence c candidates);
         Alcotest.test_case "downtime-budget policy" `Quick test_budget_policy;

@@ -43,6 +43,48 @@ let test_rng_determinism () =
   let ys = List.init 32 (fun _ -> Rng.next b) in
   check Alcotest.bool "same stream" true (xs = ys)
 
+(* Known answers for seed 7, pinned from the boxed-int64 implementation:
+   any change of representation must leave the stream bit-identical. *)
+let test_rng_known_answers () =
+  let draw8 f = let r = Rng.create 7L in List.init 8 (fun _ -> f r) in
+  let i64s = Alcotest.(list int64) in
+  let after_first =
+    [ 0x044c3cd7f43c661cL; 0xe6984080bab12a02L; 0x953aeb70673e29cbL;
+      0x73d33b666a1e21daL; 0x3fdabe86cbbeaa11L; 0x77cbc4a133c2d0f6L;
+      0x53fcd6513d02befeL; 0x225ec07a99506761L ]
+  in
+  check i64s "next"
+    [ 0x63cbe1e459320dd7L; 0x044c3cd7f43c661cL; 0xe6984080bab12a02L;
+      0x953aeb70673e29cbL; 0x73d33b666a1e21daL; 0x3fdabe86cbbeaa11L;
+      0x77cbc4a133c2d0f6L; 0x53fcd6513d02befeL ]
+    (draw8 Rng.next);
+  check Alcotest.(list (float 0.0)) "float"
+    [ 0x1.8f2f879164c82p-2; 0x1.130f35fd0f18p-6; 0x1.cd30810175625p-1;
+      0x1.2a75d6e0ce7c5p-1; 0x1.cf4ced99a8788p-2; 0x1.fed5f4365df54p-3;
+      0x1.df2f1284cf0b4p-2; 0x1.4ff35944f40aep-2 ]
+    (draw8 Rng.float);
+  check Alcotest.(list int) "int _ 1000" [ 621; 951; 336; 50; 918; 76; 949; 295 ]
+    (draw8 (fun r -> Rng.int r 1000));
+  check Alcotest.(list bool) "bool"
+    [ true; false; false; true; false; true; false; false ]
+    (draw8 Rng.bool);
+  let r = Rng.create 7L in
+  let child = Rng.split r in
+  check i64s "split child"
+    [ 0xf33dc6bd55ffa86bL; 0xe1332a7db412c5a9L; 0xe6af094f768935b3L;
+      0x0fdf2d08f5c29727L; 0xba657f8e9030a6f9L; 0x29284f19efd46b47L;
+      0x3a16c2caea412322L; 0xaeb6a94d34aa8643L ]
+    (List.init 8 (fun _ -> Rng.next child));
+  check i64s "split parent advanced by one draw" after_first
+    (List.init 8 (fun _ -> Rng.next r));
+  let r = Rng.create 7L in
+  ignore (Rng.next r);
+  let c = Rng.copy r in
+  check i64s "copy continues the stream" after_first
+    (List.init 8 (fun _ -> Rng.next c));
+  check i64s "original untouched by draws on the copy" after_first
+    (List.init 8 (fun _ -> Rng.next r))
+
 let test_rng_bounds () =
   let r = Rng.create 1L in
   for _ = 1 to 1000 do
@@ -329,6 +371,7 @@ let suites =
         Alcotest.test_case "json errors" `Quick test_json_errors;
         Alcotest.test_case "json members" `Quick test_json_members;
         Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
+        Alcotest.test_case "rng known answers" `Quick test_rng_known_answers;
         Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
         Alcotest.test_case "rng permutation" `Quick test_rng_permutation;
         Alcotest.test_case "bytebuf roundtrip" `Quick test_bytebuf_roundtrip;
