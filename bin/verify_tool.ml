@@ -261,13 +261,11 @@ let run_sustained seeds events_file =
       end;
       List.iter
         (fun (r : Sustained.run) ->
-          if r.Sustained.r_attempts > Sustained.default_cfg.Sustained.su_max_attempts
-          then begin
+          if r.Sustained.r_attempts > Sustained.max_attempts then begin
             ok := false;
             Printf.printf
               "sustained FAILED (%s): seed %016Lx took %d attempts (bound %d)\n%!"
-              arm r.Sustained.r_seed r.Sustained.r_attempts
-              Sustained.default_cfg.Sustained.su_max_attempts
+              arm r.Sustained.r_seed r.Sustained.r_attempts Sustained.max_attempts
           end)
         runs)
     arms;

@@ -25,11 +25,3 @@ val observe : t -> Dapper_util.Dapper_error.stage -> float -> unit
 (** Projected cost of [stage], or [None] with no history (the guard
     runs un-projected stages rather than guessing). *)
 val projected : t -> Dapper_util.Dapper_error.stage -> float option
-
-(** [budget_ms ~ops_per_ns ~pause_budget ()] converts a session's
-    instruction-denominated pause budget into the blackout time it
-    represents at the source node's speed
-    ([pause_budget / (ops_per_ns * 1e6)] ms), scaled by [margin]
-    (default 1.0). Raises [Invalid_argument] on non-positive
-    [ops_per_ns] or [margin]. *)
-val budget_ms : ?margin:float -> ops_per_ns:float -> pause_budget:int -> unit -> float

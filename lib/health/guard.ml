@@ -1,5 +1,4 @@
 open Dapper_net
-open Dapper_criu
 module Session = Dapper.Session
 module Derr = Dapper_util.Dapper_error
 
@@ -7,9 +6,6 @@ type attempt = {
   ga_outcome : (Session.outcome, Derr.t) result;
   ga_blackout_ms : float;
   ga_cancelled : Derr.stage option;
-  ga_budget_ms : float;
-  ga_hot_pages : int;
-  ga_lazy_left : int;
 }
 
 let ( let* ) = Result.bind
@@ -20,16 +16,8 @@ let spent s =
 let last_stage_ms s =
   match s.Session.s_log with r :: _ -> r.Session.sr_ms | [] -> 0.0
 
-let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
+let run ?deadlines ~budget_ms:budget (cfg : Session.config) p =
   let dl = match deadlines with Some d -> d | None -> Deadline.create () in
-  let budget =
-    match budget_ms with
-    | Some b -> b
-    | None ->
-      Deadline.budget_ms ~margin
-        ~ops_per_ns:cfg.Session.cfg_src_node.Node.n_ops_per_ns
-        ~pause_budget:cfg.Session.cfg_pause_budget ()
-  in
   let cancelled = ref None in
   let blackout = ref 0.0 in
   (* Cancel [stage] before running it when its projection no longer fits
@@ -55,14 +43,10 @@ let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
     observe stage s;
     Ok s
   in
-  let hot_pages = ref 0 in
-  let lazy_left = ref 0 in
   let outcome =
     let s = Session.start cfg p in
     let* s = step Derr.Pause Session.pause s in
     let* s = step Derr.Dump Session.dump s in
-    (let d = s.Session.s_state.Session.sd_dump in
-     hot_pages := d.Dump.pages_dumped + d.Dump.pages_lazy);
     let* s = step Derr.Recode Session.recode s in
     (* The transfer is projected analytically from the image at hand and
        the transport's current cost model — not from history — so a
@@ -94,9 +78,7 @@ let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
      | Ok s ->
        observe Derr.Transfer s;
        let* s = step Derr.Restore Session.restore s in
-       lazy_left := List.length s.Session.s_state.Session.sf_lazy_pages;
        let* s = step Derr.Commit Session.commit s in
-       lazy_left := !lazy_left - s.Session.s_state.Session.sm_drained;
        Ok (Session.finish s)
      | Error e ->
        (* the failed wire work still stalled the paused source: charge
@@ -111,5 +93,4 @@ let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
        Error e)
   in
   { ga_outcome = outcome; ga_blackout_ms = !blackout;
-    ga_cancelled = !cancelled; ga_budget_ms = budget;
-    ga_hot_pages = !hot_pages; ga_lazy_left = !lazy_left }
+    ga_cancelled = !cancelled }

@@ -30,24 +30,14 @@ type attempt = {
           backoff the failure already charged *)
   ga_cancelled : Dapper_util.Dapper_error.stage option;
       (** the stage the watchdog cancelled, when it did *)
-  ga_budget_ms : float;  (** the budget enforced (resolved) *)
-  ga_hot_pages : int;
-      (** dump-time page population (eager + lazy) — the fault tail's
-          denominator; 0 when the attempt failed before the dump *)
-  ga_lazy_left : int;
-      (** lazy pages still unfetched after commit (restore debt minus
-          the commit drain); 0 for eager mechanisms and failures *)
 }
 
-(** [run ?deadlines ?margin ?budget_ms cfg p] — one guarded migration
-    attempt. [budget_ms] defaults to {!Deadline.budget_ms} over the
-    config's pause budget at the source node's speed, scaled by
-    [margin] (default 1.0); [deadlines] defaults to a fresh (empty)
-    store, i.e. only the transfer is projected. *)
+(** [run ?deadlines ~budget_ms cfg p] — one guarded migration attempt
+    within a blackout budget of [budget_ms]. [deadlines] defaults to a
+    fresh (empty) store, i.e. only the transfer is projected. *)
 val run :
   ?deadlines:Deadline.t ->
-  ?margin:float ->
-  ?budget_ms:float ->
+  budget_ms:float ->
   Dapper.Session.config ->
   Dapper_machine.Process.t ->
   attempt

@@ -1,12 +1,12 @@
 (** Fleet health scoring: per-key failure EWMAs and quarantine.
 
-    Keys are whatever failure domain the caller scores — node ids for
-    {!Dapper_cluster.Fleet}, rack ids for {!Dapper_cluster.Fleet_xl}.
-    Every outcome report folds into the key's failure EWMA
+    Keys are whatever failure domain the caller scores: destination
+    racks in {!Sustained}'s control loop, the one caller. Every
+    outcome report folds into the key's failure EWMA
     ([alpha * fail + (1 - alpha) * ewma], fail = 0/1); once a key has
     at least [q_min_reports] reports and its EWMA reaches
     [q_threshold], it is quarantined: {!admits} turns false, so the
-    admission gates stop sending work its way. Because a quarantined
+    caller stops placing work there. Because a quarantined
     key takes no work, release is time-based: after [q_heal_ms] of
     quiet it is re-admitted on half trust (EWMA reset to half the
     threshold), ready to re-trip quickly if still bad.

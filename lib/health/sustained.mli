@@ -5,11 +5,14 @@
     for a window around the scheduled migration: its wire slows 4-8x
     and payloads start dropping, corrupting, delaying, and failing
     restores. A migration control loop then drives the job to its
-    destination through bounded attempts, while a Loadgen-style
-    open-loop request plane measures what the tenant's clients saw:
-    per-request latency (with every attempt's blackout window and the
-    post-copy fault tail in the path), availability against an SLO,
-    and the during-migration tail.
+    destination through bounded attempts, while {!Dapper_traffic.Loadgen}'s
+    request plane ({!Dapper_traffic.Loadgen.play}) measures what the
+    tenant's clients saw: per-request latency (with every attempt's
+    blackout window and the post-copy fault tail in the path),
+    availability against an SLO, and the during-migration tail. The
+    run works out the migration timeline — every attempt's window, the
+    resume (none after a rollback), the lazy-page debt and the fault
+    stall on the landing rack — and the request loop plays it.
 
     With [su_control = true], the loop runs the full self-healing
     plane: per-rack {!Breaker}s (tripped racks are shed via
@@ -23,33 +26,29 @@
     rack, one fixed mechanism, no cancellation — only the transport's
     own retries between attempts.
 
-    Either way every attempt is bounded ([su_max_attempts]) and ends
+    Either way every attempt is bounded ({!max_attempts}) and ends
     in an explicit commit or an explicit 2PC rollback with the source
     still running — there are no lost states and no unbounded retry
-    loops, by construction. *)
+    loops, by construction.
+
+    Every run has the same fixed shape: 8 lanes at 4 requests/ms
+    (Poisson), 1.2 ms mean service on the source and 1.0 ms on the
+    destination, a 25 ms SLO, 4 destination racks of 2 page servers, a
+    blackout budget of 1.2x the calibrated healthy stop-and-copy
+    blackout, and pre-copy rounds of 20k source instructions, at most
+    6. *)
 
 type cfg = {
   su_requests : int;          (** request-plane draws per run *)
-  su_lanes : int;             (** concurrent service lanes *)
-  su_rate_per_ms : float;     (** Poisson arrival rate *)
-  su_service_src_ms : float;  (** mean service on the source *)
-  su_service_dst_ms : float;  (** mean service on the destination *)
-  su_slo_ms : float;          (** per-request latency SLO *)
   su_migrate_at_ms : float;   (** when the eviction is scheduled *)
-  su_budget_ms : float;
-      (** blackout budget for the picker and the watchdog; 0 = auto,
-          1.2x the calibrated healthy stop-and-copy blackout *)
-  su_racks : int;             (** destination racks to place across *)
-  su_servers_each : int;      (** page servers per rack *)
-  su_max_attempts : int;      (** hard bound on migration attempts *)
-  su_round_instrs : int;      (** source progress per pre-copy round *)
-  su_max_rounds : int;        (** pre-copy round cap *)
   su_control : bool;          (** health plane on or off *)
 }
 
-(** 20k requests, 8 lanes, 4/ms, SLO 25 ms, migrate at 1 s, auto
-    budget, 4 racks x 2 servers, 16 attempts, control on. *)
+(** 20k requests, migrate at 1 s, control on. *)
 val default_cfg : cfg
+
+(** The hard bound on migration attempts per run (16). *)
+val max_attempts : int
 
 type scenario = {
   sc_bad_rack : int;

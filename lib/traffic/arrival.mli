@@ -36,8 +36,7 @@ val next : t -> float
 
 (** [expo rng] is a unit-mean exponential draw (inverse CDF, one
     {!Rng.float}): the inter-arrival and holding-time sampler, shared
-    with the service-time draws of {!Loadgen} and
-    {!Dapper_health.Sustained}. *)
+    with the service-time draws of {!Loadgen.play}. *)
 val expo : Rng.t -> float
 
 (** Long-run mean rate: hold-time-weighted average of the state rates. *)

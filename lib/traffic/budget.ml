@@ -8,6 +8,14 @@ let mechanism_name = function
 
 let all_mechanisms = [ Vanilla; Precopy; Hybrid; Postcopy ]
 
+let needs_lazy = function
+  | Vanilla | Precopy -> false
+  | Hybrid | Postcopy -> true
+
+let precopies = function
+  | Precopy | Hybrid -> true
+  | Vanilla | Postcopy -> false
+
 let mechanism_of_string s =
   List.find_opt (fun m -> mechanism_name m = s) all_mechanisms
 

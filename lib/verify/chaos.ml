@@ -107,8 +107,7 @@ let pick_transport ?mechanism rng =
   let eager =
     match mechanism with
     | None -> coin_eager
-    | Some (Budget.Vanilla | Budget.Precopy) -> true
-    | Some (Budget.Hybrid | Budget.Postcopy) -> false
+    | Some m -> not (Budget.needs_lazy m)
   in
   let base =
     if eager then Transport.scp Netlink.infiniband
@@ -165,7 +164,7 @@ let run_one ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(pipeline = false)
        checks below are unchanged. *)
     let resident =
       match mechanism with
-      | Some (Budget.Precopy | Budget.Hybrid) ->
+      | Some m when Budget.precopies m ->
         let st =
           Session.precopy base_cfg p ~advance:(fun _ -> ()) ~max_rounds:3
             ~downtime_budget_ms:0.0
