@@ -11,7 +11,8 @@
     out of CPU resources".
 
     Time advances in fixed quanta; each busy slot interprets
-    [quantum_ms x ops/ms] instructions of its job per quantum, so
+    [quantum_ms x ops/ms] instructions of its job per quantum (at most
+    50M, a safety cap), so
     heterogenous speeds, migration overheads and energy all come from
     the same clock.
 
@@ -36,7 +37,6 @@ type config = {
   f_rpi_slots_each : int;
   f_evict : bool;          (** false: Pis stay idle (baseline) *)
   f_bytes_scale : float;
-  f_job_fuel : int;        (** per-quantum interpreter safety cap *)
   f_speed_scale : float;
       (** divide node speeds by this factor so that downscaled jobs take
           realistic multiples of the quantum; relative Xeon/Pi speed is
@@ -53,22 +53,6 @@ type config = {
       (** chaos plane threaded into every eviction session; also drawn
           at {!Fault.Dest_node} before each eviction — a crash kills the
           destination node for the rest of the window *)
-  f_placement : Placement.t;
-      (** victim-selection policy for evictions (default
-          {!Placement.Latest_start}, the seed behaviour) *)
-  f_node_gate : (node:int -> now_ms:float -> bool) option;
-      (** health admission gate consulted before each eviction attempt:
-          [false] defers the attempt (the slot stays free; the next
-          quantum boundary re-arms it). Wire [Dapper_health.Quarantine]
-          here. [None] (default): every attempt admitted — byte-identical
-          to the pre-health engine. *)
-  f_node_report : (node:int -> now_ms:float -> ok:bool -> unit) option;
-      (** outcome feedback per destination node, fired after every
-          admitted attempt (success, session failure, or node killed by
-          the fault plane) — the health plane's failure-EWMA input. *)
-  f_slo_gate : (now_ms:float -> bool) option;
-      (** fleet-wide SLO gate: [false] (e.g. the live traffic p99 sketch
-          is already over budget) defers every eviction this quantum. *)
 }
 
 val default_config : config
@@ -97,10 +81,6 @@ type stats = {
   f_events : int;
       (** heap events processed over the window — the engine's work, in
           place of the former [quanta x slots] scan cost *)
-  f_deferred : int;
-      (** eviction attempts deferred by the health gates ([f_node_gate] /
-          [f_slo_gate]) — backoff, not loss: the slot re-arms at the next
-          boundary *)
 }
 
 exception Fleet_error of string

@@ -11,8 +11,6 @@ let all = [ Latest_start; First_fit; Energy_aware; Slo_aware; Latency_aware ]
 
 let of_string s = List.find_opt (fun p -> name p = s) all
 
-type victim = { vc_index : int; vc_started_ms : float }
-
 (* All selection rules keep the first candidate among ties (strict
    comparisons), so candidate order — slot order by contract — is the
    deterministic tie-break. *)
@@ -20,14 +18,6 @@ let best_by better = function
   | [] -> None
   | c :: cs ->
     Some (List.fold_left (fun best c -> if better c best then c else best) c cs)
-
-let choose_victim policy candidates =
-  match policy with
-  | First_fit -> ( match candidates with [] -> None | c :: _ -> Some c)
-  | Latest_start | Slo_aware | Latency_aware ->
-    best_by (fun c best -> c.vc_started_ms > best.vc_started_ms) candidates
-  | Energy_aware ->
-    best_by (fun c best -> c.vc_started_ms < best.vc_started_ms) candidates
 
 type dest = {
   dc_index : int;

@@ -1,13 +1,11 @@
-(** Pluggable placement policies for eviction scheduling.
+(** Pluggable destination policies for eviction scheduling.
 
-    A policy makes the two decisions the fleet engines delegate:
-
-    - {b victim} selection — which running job to evict from the loaded
-      fast tier ({!choose_victim}, used by the process-level
-      {!Fleet});
-    - {b destination} selection — which slow-tier node class hosts an
-      evicted job ({!choose_dest}, used by the datacenter-scale
-      {!Fleet_xl}, whose slow tier is heterogeneous).
+    A policy decides which slow-tier node class hosts an evicted job
+    ({!choose_dest}). The datacenter-scale {!Fleet_xl}, whose slow tier
+    is heterogeneous, places every eviction through it, and
+    [Dapper_health.Sustained] places its migrations across racks with
+    [Latency_aware]. (The process-level {!Fleet} has one destination
+    class and always evicts the most recently started job.)
 
     Every choice is deterministic: candidates are presented in slot /
     class order and every rule breaks ties on the earliest candidate,
@@ -15,24 +13,21 @@
 
 type t =
   | Latest_start
-      (** evict the most recently started job (least sunk cost) — the
-          seed fleet's hardcoded rule, and first-free destination *)
+      (** first-free destination — the seed behaviour, named after the
+          seed fleet's latest-start eviction *)
   | First_fit
-      (** evict the first busy slot; pack destinations onto the
-          lowest-numbered free slot (bin-packing) *)
+      (** pack destinations onto the lowest-numbered free slot
+          (bin-packing) *)
   | Energy_aware
-      (** evict the longest-running job (most fast-tier energy saved by
-          finishing it on the efficient tier); destination with the
-          lowest active watts per unit of speed *)
+      (** destination with the lowest active watts per unit of speed *)
   | Slo_aware
-      (** evict the most recently started job (least progress at risk);
-          cheapest destination whose estimated completion meets the
+      (** cheapest destination whose estimated completion meets the
           job's deadline, else the fastest *)
   | Latency_aware
-      (** evict the most recently started job; destination whose rack's
-          page servers are the least backed up ([page_wait_ms] hook), so
-          requests faulting against the migrating job stall least — the
-          policy the live-traffic plane feeds (ties on [dc_est_ms]) *)
+      (** destination whose rack's page servers are the least backed up
+          ([page_wait_ms] hook), so requests faulting against the
+          migrating job stall least — the policy the live-traffic plane
+          feeds (ties on [dc_est_ms]) *)
 
 val name : t -> string
 
@@ -40,15 +35,6 @@ val name : t -> string
 val of_string : string -> t option
 
 val all : t list
-
-(** An eviction candidate: a busy fast-tier slot. [vc_index] is the
-    caller's slot identifier; candidates must be listed in slot order. *)
-type victim = { vc_index : int; vc_started_ms : float }
-
-(** The chosen victim, or [None] when there are no candidates.
-    [Latest_start] reproduces the seed fleet's fold exactly: maximum
-    start time, earliest slot on ties. *)
-val choose_victim : t -> victim list -> victim option
 
 (** A destination candidate: a slow-tier node class with at least one
     free slot. [dc_lowest_slot] is the smallest free slot id in the

@@ -257,25 +257,6 @@ let test_fleet_event_accounting () =
 
 (* ----- placement policies ----- *)
 
-let victims =
-  [ { Placement.vc_index = 0; vc_started_ms = 100.0 };
-    { Placement.vc_index = 1; vc_started_ms = 300.0 };
-    { Placement.vc_index = 2; vc_started_ms = 300.0 };
-    { Placement.vc_index = 3; vc_started_ms = 50.0 } ]
-
-let test_placement_victims () =
-  let pick p = Option.get (Placement.choose_victim p victims) in
-  check Alcotest.int "latest-start: max start, first on ties" 1
-    (pick Placement.Latest_start).Placement.vc_index;
-  check Alcotest.int "slo-aware evicts like latest-start" 1
-    (pick Placement.Slo_aware).Placement.vc_index;
-  check Alcotest.int "first-fit: first busy slot" 0
-    (pick Placement.First_fit).Placement.vc_index;
-  check Alcotest.int "energy-aware: longest-running job" 3
-    (pick Placement.Energy_aware).Placement.vc_index;
-  check Alcotest.bool "no candidates" true
-    (Placement.choose_victim Placement.Latest_start [] = None)
-
 let dests =
   [ { Placement.dc_index = 0; dc_lowest_slot = 10; dc_ops_per_ns = 3.0;
       dc_core_w = 2.8; dc_est_ms = 140.0 };
@@ -322,9 +303,6 @@ let test_placement_latency_aware () =
     (pick ~page_wait_ms:flat ()).Placement.dc_index;
   check Alcotest.int "no hook: falls back to dc_est_ms" 0
     (pick ()).Placement.dc_index;
-  check Alcotest.int "evicts like latest-start" 1
-    (Option.get (Placement.choose_victim Placement.Latency_aware victims))
-      .Placement.vc_index;
   check Alcotest.bool "listed and parseable" true
     (List.mem Placement.Latency_aware Placement.all
      && Placement.of_string "latency-aware" = Some Placement.Latency_aware)
@@ -420,7 +398,6 @@ let suites =
         Alcotest.test_case "equivalence gate: chaos fleet matches seed" `Slow
           test_fleet_chaos_matches_seed;
         Alcotest.test_case "fleet: event accounting" `Slow test_fleet_event_accounting;
-        Alcotest.test_case "placement: victim selection" `Quick test_placement_victims;
         Alcotest.test_case "placement: destination selection" `Quick
           test_placement_dests;
         Alcotest.test_case "placement: latency-aware" `Quick
