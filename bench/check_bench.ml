@@ -1,7 +1,7 @@
 (* check_bench: CI gate over BENCH_RESULTS.json. Fails (exit 1) when the
    file is missing, unparseable, missing a required top-level key, has a
    malformed benchmark entry, or lacks one of the must-have benchmark
-   names — so a silently shrinking micro suite can't pass the bench job. *)
+   names — so a silently shrinking micro suite can't pass `dune runtest`. *)
 
 module J = Dapper_util.Json
 
